@@ -179,8 +179,7 @@ pub struct InfeasibleCert {
     /// was quarantined and re-derived from scratch.
     pub quarantined: bool,
     /// The verdict comes from a fresh from-scratch solve rather than the
-    /// incremental synthesis solver (quarantine retry, or the
-    /// `CHIPMUNK_FRESH_INFEASIBLE=1` kill switch).
+    /// incremental synthesis solver (the quarantine retry).
     pub fresh_resolve: bool,
     /// Proof logging overflowed its byte budget, so no certificate
     /// exists for this solve.
@@ -590,21 +589,14 @@ pub fn synthesize_with_control(
                         }
                     }
                 };
-                if fresh_infeasible_requested() {
-                    // Kill switch: never trust the incremental solve.
+                let first = certify_unsat_solver(&solver, &account, true, &mut info);
+                if matches!(first, CertifyOutcome::CheckFailed) {
+                    // An invalid proof impeaches the verdict itself:
+                    // quarantine and retry once from scratch.
+                    info.quarantined = true;
+                    chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
                     if let Some(e) = fresh_certify(&mut info) {
                         return Err(e);
-                    }
-                } else {
-                    let first = certify_unsat_solver(&solver, &account, true, &mut info);
-                    if matches!(first, CertifyOutcome::CheckFailed) {
-                        // An invalid proof impeaches the verdict itself:
-                        // quarantine and retry once from scratch.
-                        info.quarantined = true;
-                        chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
-                        if let Some(e) = fresh_certify(&mut info) {
-                            return Err(e);
-                        }
                     }
                 }
                 chipmunk_trace::event!(
@@ -714,14 +706,6 @@ pub fn synthesize_with_control(
 /// via the `CHIPMUNK_FRESH_VERIFY=1` kill switch?
 fn fresh_verify_requested() -> bool {
     std::env::var_os("CHIPMUNK_FRESH_VERIFY").is_some_and(|v| v == "1")
-}
-
-/// Kill switch mirroring `CHIPMUNK_FRESH_VERIFY`: with
-/// `CHIPMUNK_FRESH_INFEASIBLE=1`, every Infeasible verdict is re-derived
-/// by a from-scratch solve before being certified — the incremental
-/// solver's own proof is never trusted.
-fn fresh_infeasible_requested() -> bool {
-    std::env::var_os("CHIPMUNK_FRESH_INFEASIBLE").is_some_and(|v| v == "1")
 }
 
 /// Test hook (`CHIPMUNK_CORRUPT_INFEASIBLE_PROOF=1`): deliberately damage

@@ -1,12 +1,9 @@
 //! End-to-end robustness tests for the infeasibility-certification
-//! degrade ladder, driven through the real environment kill switches:
+//! degrade ladder, driven through the real environment knobs:
 //!
 //! * `CHIPMUNK_CORRUPT_INFEASIBLE_PROOF=1` — test hook that corrupts the
 //!   incremental solver's proof before the check, forcing the
 //!   quarantine → fresh-re-solve path a real proof-logging bug would take;
-//! * `CHIPMUNK_FRESH_INFEASIBLE=1` — operator kill switch that re-derives
-//!   every infeasibility from a fresh solver, bypassing the incremental
-//!   proof entirely;
 //! * `CHIPMUNK_PROOF_BYTES` — proof log byte budget (`0` disables
 //!   logging; a tiny budget forces truncation), whose degradations must
 //!   be explicit, never silent, and never a panic.
@@ -70,23 +67,6 @@ fn corrupted_incremental_proof_is_quarantined_and_fresh_resolved() {
             .is_valid(),
         "shipped proof must re-validate independently"
     );
-}
-
-/// The operator kill switch re-derives infeasibility from scratch: no
-/// quarantine (nothing failed), but the record says the verdict came
-/// from a fresh solve and it is still proof-certified.
-#[test]
-fn fresh_infeasible_kill_switch_bypasses_the_incremental_proof() {
-    let _g = lock();
-    std::env::set_var("CHIPMUNK_FRESH_INFEASIBLE", "1");
-    let cert = infeasible_compile();
-    std::env::remove_var("CHIPMUNK_FRESH_INFEASIBLE");
-    assert!(cert.fresh_resolve, "{cert:?}");
-    assert!(
-        !cert.quarantined,
-        "the kill switch is not a quarantine: {cert:?}"
-    );
-    assert!(cert.certified, "{cert:?}");
 }
 
 /// Proof logging off: the verdict still arrives (solving is unaffected)

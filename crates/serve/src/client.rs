@@ -25,6 +25,8 @@ impl Client {
     /// Connect to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Pipelined requests are small writes; don't hold them for ACKs.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),

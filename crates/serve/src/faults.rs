@@ -132,7 +132,6 @@ struct Plan {
     prob: [f64; NUM_KINDS],
     stall: Duration,
     rng: Xoshiro256,
-    spec: String,
 }
 
 struct State {
@@ -331,16 +330,6 @@ pub fn init_from_env() {
     }
 }
 
-/// The spec string of the installed plan, if any. Lets a test harness
-/// echo the schedule it is running under on failure.
-pub fn active_spec() -> Option<String> {
-    let st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    st.plan.as_ref().map(|p| p.spec.clone())
-}
-
 fn parse_plan(spec: &str) -> Result<Plan, String> {
     let mut seed = 0u64;
     let mut explicit: [Vec<u64>; NUM_KINDS] = Default::default();
@@ -394,7 +383,6 @@ fn parse_plan(spec: &str) -> Result<Plan, String> {
         prob,
         stall,
         rng: Xoshiro256::seed_from_u64(seed),
-        spec: spec.to_string(),
     })
 }
 

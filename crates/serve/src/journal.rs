@@ -45,24 +45,22 @@
 //! record and replay on the next start, which is exactly the at-least-once
 //! retry the client was told is safe.
 //!
-//! Durability discipline matches the result cache: appends go through one
-//! shared handle (`accepted` lines are fsync'd; losing a `completed` line
-//! merely causes one redundant recompile), and compaction — dropping
-//! completed pairs — writes a temp file, fsyncs it, and renames it over
-//! the old one, so a crash mid-compaction keeps the previous journal.
-//! Torn or corrupt lines (a crash mid-append) are skipped on load. I/O
-//! errors never propagate into the serving path: the journal degrades to
-//! a no-op and counts the error.
+//! The file is an `AppendLog` (`append_log.rs`), like the cache's disk
+//! tier; the journal owns only its pending set and step index. Only
+//! `accepted` records are fsync'd: losing a `step` or `completed` line
+//! merely repeats a step or one recompile. Compaction (dropping completed
+//! pairs) is a log rewrite, run at startup when the file holds more than
+//! the pending records and whenever completed pairs dominate the file. On
+//! an I/O error the journal keeps tracking pending jobs in memory and
+//! reports `journal_degraded` in stats until the log re-attaches.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 use chipmunk_trace::json::Json;
 
+use crate::append_log::AppendLog;
 use crate::protocol::JobOptions;
 
 /// A journaled job that was accepted but never answered: replay it.
@@ -105,8 +103,18 @@ impl StepProgress {
     }
 }
 
+/// One `step` record.
+fn step_record(key: &str, plan: &str, step: usize) -> Json {
+    Json::obj([
+        ("rec", Json::from("step")),
+        ("key", Json::from(key)),
+        ("plan", Json::from(plan)),
+        ("step", Json::from(step as u64)),
+    ])
+}
+
+#[derive(Default)]
 struct Inner {
-    file: File,
     /// Pending `accepted` records by key (the full record document).
     pending: HashMap<String, Json>,
     /// Per-key plan progress (only meaningful while the key is pending;
@@ -115,8 +123,104 @@ struct Inner {
     /// Keys in first-accepted order, possibly holding completed stragglers
     /// (filtered against `pending` when used).
     order: Vec<String>,
-    /// Lines currently in the file, dead or alive.
-    lines: u64,
+}
+
+impl Inner {
+    /// Fold one journal line into the pending set and step index.
+    fn load(&mut self, line: &str) {
+        let Ok(doc) = Json::parse(line) else {
+            return; // torn line from a crash mid-append
+        };
+        let (Some(rec), Some(key)) = (
+            doc.get("rec").and_then(Json::as_str),
+            doc.get("key").and_then(Json::as_str),
+        ) else {
+            return;
+        };
+        match rec {
+            "accepted" => {
+                if !self.pending.contains_key(key) {
+                    self.order.push(key.to_string());
+                }
+                self.pending.entry(key.to_string()).or_insert(doc);
+            }
+            "step" => {
+                let (Some(plan), Some(step)) = (
+                    doc.get("plan").and_then(Json::as_str),
+                    doc.get("step")
+                        .and_then(Json::as_u64)
+                        .and_then(|v| usize::try_from(v).ok()),
+                ) else {
+                    return;
+                };
+                // Progress only counts against the plan it was made
+                // under; a fingerprint change voids it.
+                let entry = self
+                    .steps
+                    .entry(key.to_string())
+                    .or_insert_with(|| (plan.to_string(), StepProgress::default()));
+                if entry.0 == plan {
+                    entry.1.done.insert(step);
+                }
+            }
+            "completed" => {
+                self.pending.remove(key);
+                self.steps.remove(key);
+            }
+            _ => {}
+        }
+    }
+
+    /// The job journaled under `key`, if it is pending and replayable.
+    fn pending_job(&self, key: &str) -> Option<PendingJob> {
+        let doc = self.pending.get(key)?;
+        let program = doc.get("program").and_then(Json::as_str)?.to_string();
+        let options = match doc.get("options") {
+            None | Some(Json::Null) => JobOptions::default(),
+            Some(o) => JobOptions::from_json(o).ok()?,
+        };
+        let journaled_plan = doc.get("plan").and_then(Json::as_str);
+        let (plan, resume_from) = match (journaled_plan, self.steps.get(key)) {
+            // Progress is only trusted when the step records' fingerprint
+            // matches the accepted record's.
+            (Some(p), Some((sp, prog))) if p == sp => (Some(p.to_string()), prog.resume_from()),
+            (p, _) => (p.map(str::to_string), 0),
+        };
+        Some(PendingJob {
+            key: key.to_string(),
+            program,
+            options,
+            trace: doc.get("trace").and_then(Json::as_str).map(str::to_string),
+            priority: doc
+                .get("priority")
+                .and_then(Json::as_u64)
+                .and_then(|v| u8::try_from(v).ok())
+                .unwrap_or(0),
+            plan,
+            resume_from,
+        })
+    }
+
+    /// The live records — pending accepts, each followed by its surviving
+    /// step records — in first-accepted order.
+    fn live_records(&self) -> impl Iterator<Item = Json> + '_ {
+        self.order
+            .iter()
+            .filter_map(|key| {
+                let accepted = self.pending.get(key)?.clone();
+                let steps = self
+                    .steps
+                    .get(key)
+                    .into_iter()
+                    .flat_map(move |(plan, prog)| {
+                        prog.done
+                            .iter()
+                            .map(move |&step| step_record(key, plan, step))
+                    });
+                Some(std::iter::once(accepted).chain(steps))
+            })
+            .flatten()
+    }
 }
 
 /// The write-ahead journal. All operations are crash-tolerant and
@@ -124,15 +228,10 @@ struct Inner {
 /// failing the request that touched it.
 pub struct Journal {
     inner: Mutex<Inner>,
-    path: PathBuf,
-    /// Journal writes disabled after an I/O error (the in-memory pending
-    /// set still tracks, so a later compaction can recover the file).
-    degraded: AtomicBool,
-    errors: AtomicU64,
-    compactions: AtomicU64,
+    log: AppendLog,
 }
 
-fn lock(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
+fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
     match m.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
@@ -145,127 +244,31 @@ impl Journal {
     /// first-accepted order. The file is compacted down to those pending
     /// records so completed history does not accumulate across restarts.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<PendingJob>)> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("journal.jsonl");
-        let mut pending: HashMap<String, Json> = HashMap::new();
-        let mut steps: HashMap<String, (String, StepProgress)> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        let mut lines = 0u64;
-        if let Ok(f) = File::open(&path) {
-            for line in BufReader::new(f).lines() {
-                let Ok(line) = line else { break };
-                lines += 1;
-                let Ok(doc) = Json::parse(&line) else {
-                    continue; // torn line from a crash mid-append
-                };
-                let (Some(rec), Some(key)) = (
-                    doc.get("rec").and_then(Json::as_str),
-                    doc.get("key").and_then(Json::as_str),
-                ) else {
-                    continue;
-                };
-                match rec {
-                    "accepted" => {
-                        if !pending.contains_key(key) {
-                            order.push(key.to_string());
-                        }
-                        pending.entry(key.to_string()).or_insert(doc);
-                    }
-                    "step" => {
-                        let (Some(plan), Some(step)) = (
-                            doc.get("plan").and_then(Json::as_str),
-                            doc.get("step")
-                                .and_then(Json::as_u64)
-                                .and_then(|v| usize::try_from(v).ok()),
-                        ) else {
-                            continue;
-                        };
-                        // Progress only counts against the plan it was
-                        // made under; a fingerprint change voids it.
-                        let entry = steps
-                            .entry(key.to_string())
-                            .or_insert_with(|| (plan.to_string(), StepProgress::default()));
-                        if entry.0 == plan {
-                            entry.1.done.insert(step);
-                        }
-                    }
-                    "completed" => {
-                        pending.remove(key);
-                        steps.remove(key);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let mut inner = Inner::default();
+        let log = AppendLog::open(&dir.join("journal.jsonl"), None, |line| inner.load(line))?;
+        let Inner {
+            pending,
+            steps,
+            order,
+        } = &mut inner;
         steps.retain(|k, _| pending.contains_key(k));
         // A completed-then-reaccepted key appears in `order` once per
         // accept; replay must see it once.
         let mut seen = std::collections::HashSet::new();
         order.retain(|k| seen.insert(k.clone()));
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let journal = Journal {
-            inner: Mutex::new(Inner {
-                file,
-                pending,
-                steps,
-                order,
-                lines,
-            }),
-            path,
-            degraded: AtomicBool::new(false),
-            errors: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-        };
-        let replay = {
-            let inner = lock(&journal.inner);
-            inner
-                .order
-                .iter()
-                .filter_map(|key| {
-                    let doc = inner.pending.get(key)?;
-                    let program = doc.get("program").and_then(Json::as_str)?.to_string();
-                    let options = match doc.get("options") {
-                        None | Some(Json::Null) => JobOptions::default(),
-                        Some(o) => JobOptions::from_json(o).ok()?,
-                    };
-                    let journaled_plan = doc.get("plan").and_then(Json::as_str);
-                    let (plan, resume_from) = match (journaled_plan, inner.steps.get(key)) {
-                        // Progress is only trusted when the step records'
-                        // fingerprint matches the accepted record's.
-                        (Some(p), Some((sp, prog))) if p == sp => {
-                            (Some(p.to_string()), prog.resume_from())
-                        }
-                        (p, _) => (p.map(str::to_string), 0),
-                    };
-                    Some(PendingJob {
-                        key: key.clone(),
-                        program,
-                        options,
-                        trace: doc.get("trace").and_then(Json::as_str).map(str::to_string),
-                        priority: doc
-                            .get("priority")
-                            .and_then(Json::as_u64)
-                            .and_then(|v| u8::try_from(v).ok())
-                            .unwrap_or(0),
-                        plan,
-                        resume_from,
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
+        let replay = inner
+            .order
+            .iter()
+            .filter_map(|key| inner.pending_job(key))
+            .collect();
         // Startup compaction: completed history (and anything corrupt) is
-        // dead weight the next start would re-parse. Live lines are the
-        // pending accepted records plus their surviving step records.
-        let live = {
-            let inner = lock(&journal.inner);
-            inner.pending.len() as u64
-                + inner
-                    .steps
-                    .values()
-                    .map(|(_, p)| p.done.len() as u64)
-                    .sum::<u64>()
+        // dead weight the next start would re-parse.
+        let live = inner.live_records().count() as u64;
+        let journal = Journal {
+            inner: Mutex::new(inner),
+            log,
         };
-        if lock(&journal.inner).lines > live {
+        if journal.log.lines() > live {
             let _ = journal.compact();
         }
         Ok((journal, replay))
@@ -309,7 +312,7 @@ impl Journal {
             inner.order.push(key.clone());
             inner.pending.insert(key, doc.clone());
         }
-        self.append(&mut inner, &doc, true);
+        self.append(inner, &doc, true, u64::MAX);
     }
 
     /// Progress record: plan step `step` of the plan fingerprinted `plan`
@@ -333,13 +336,7 @@ impl Journal {
         if !entry.1.done.insert(step) {
             return; // already journaled
         }
-        let doc = Json::Obj(vec![
-            ("rec".to_string(), Json::from("step")),
-            ("key".to_string(), Json::from(key)),
-            ("plan".to_string(), Json::from(plan)),
-            ("step".to_string(), Json::from(step as u64)),
-        ]);
-        self.append(&mut inner, &doc, false);
+        self.append(inner, &step_record(key, plan, step), false, u64::MAX);
     }
 
     /// Terminal record: `key` has been answered (by any outcome). The
@@ -357,92 +354,30 @@ impl Journal {
         if let Some(t) = accepted.get("trace").and_then(Json::as_str) {
             pairs.push(("trace".to_string(), Json::from(t)));
         }
-        let doc = Json::Obj(pairs);
-        self.append(&mut inner, &doc, false);
         // Once completed pairs dominate the file, fold them away.
-        if inner.lines > 2 * inner.pending.len() as u64 + 16 {
+        let compact_above = 2 * inner.pending.len() as u64 + 16;
+        self.append(inner, &Json::Obj(pairs), false, compact_above);
+    }
+
+    /// Append under the journal lock (so file order matches the in-memory
+    /// order), then compact if the log asks for it.
+    fn append(&self, inner: MutexGuard<'_, Inner>, doc: &Json, sync: bool, compact_above: u64) {
+        if self.log.append(doc, sync, compact_above) {
             drop(inner);
             let _ = self.compact();
         }
     }
 
-    fn append(&self, inner: &mut Inner, doc: &Json, sync: bool) {
-        if self.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let res = (|| -> std::io::Result<()> {
-            writeln!(inner.file, "{}", doc.to_compact())?;
-            inner.file.flush()?;
-            if sync {
-                inner.file.sync_data()?;
-            }
-            Ok(())
-        })();
-        match res {
-            Ok(()) => inner.lines += 1,
-            Err(_) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.degraded.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Rewrite the journal down to its pending records (temp + fsync +
-    /// rename, crash-safe). Also the degraded-mode recovery path: a full
-    /// successful rewrite re-attaches the file.
+    /// Rewrite the journal down to its pending records and their step
+    /// progress (crash-safe, see `AppendLog::rewrite`). Also the
+    /// degraded-mode recovery path: a successful rewrite re-attaches the
+    /// file.
     pub fn compact(&self) -> std::io::Result<()> {
         let mut inner = lock(&self.inner);
-        let tmp_path = self.path.with_extension("jsonl.tmp");
-        let mut written = 0u64;
-        let res = (|| -> std::io::Result<()> {
-            let tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(tmp);
-            for key in &inner.order {
-                if let Some(doc) = inner.pending.get(key) {
-                    writeln!(w, "{}", doc.to_compact())?;
-                    written += 1;
-                    // Plan progress survives compaction so a later crash
-                    // still resumes mid-plan.
-                    if let Some((plan, prog)) = inner.steps.get(key) {
-                        for &step in &prog.done {
-                            let doc = Json::Obj(vec![
-                                ("rec".to_string(), Json::from("step")),
-                                ("key".to_string(), Json::from(key.as_str())),
-                                ("plan".to_string(), Json::from(plan.as_str())),
-                                ("step".to_string(), Json::from(step as u64)),
-                            ]);
-                            writeln!(w, "{}", doc.to_compact())?;
-                            written += 1;
-                        }
-                    }
-                }
-            }
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp_path, &self.path)?;
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                inner.file = OpenOptions::new().append(true).open(&self.path)?;
-                inner.lines = written;
-                let pending: Vec<String> = inner
-                    .order
-                    .iter()
-                    .filter(|k| inner.pending.contains_key(*k))
-                    .cloned()
-                    .collect();
-                inner.order = pending;
-                self.degraded.store(false, Ordering::Relaxed);
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.degraded.store(true, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        let Inner { pending, order, .. } = &mut *inner;
+        order.retain(|k| pending.contains_key(k));
+        self.log.rewrite(inner.live_records())?;
+        Ok(())
     }
 
     /// Jobs currently owed an answer.
@@ -450,31 +385,21 @@ impl Journal {
         lock(&self.inner).pending.len()
     }
 
-    /// Lines currently in the journal file (pending + not-yet-compacted
-    /// history).
-    pub fn lines(&self) -> u64 {
-        lock(&self.inner).lines
-    }
-
     /// I/O errors absorbed so far.
     pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+        self.log.errors()
     }
 
     /// Whether writes are currently disabled after an I/O error.
     pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Completed compaction passes.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
+        self.log.degraded()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -526,7 +451,7 @@ mod tests {
         assert_eq!(replay[1].options.width, None);
         assert_eq!(replay[1].trace, None);
         // Startup compaction dropped the completed pair.
-        assert_eq!(j.lines(), 2);
+        assert_eq!(j.log.lines(), 2);
         assert_eq!(j.pending_len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -589,8 +514,9 @@ mod tests {
             );
             j.completed(&key);
         }
-        assert!(j.compactions() >= 1);
-        assert!(j.lines() <= 18, "journal unbounded: {} lines", j.lines());
+        assert!(j.log.compactions() >= 1);
+        let lines = j.log.lines();
+        assert!(lines <= 18, "journal unbounded: {lines} lines");
         assert_eq!(j.pending_len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -784,7 +710,7 @@ mod tests {
                 );
                 j.completed(&key);
             }
-            assert!(j.compactions() >= 1);
+            assert!(j.log.compactions() >= 1);
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.len(), 1);
@@ -822,6 +748,61 @@ mod tests {
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].resume_from, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a journal whose startup compaction failed once stayed
+    /// degraded forever — its re-attach hung on a line count that stops
+    /// growing while degraded — so jobs accepted after the disk healed
+    /// were never replayed. Now the log's re-attach cadence applies.
+    #[test]
+    fn a_failed_startup_compaction_reattaches_once_the_disk_heals() {
+        let dir = tmpdir("reattach");
+        {
+            let (j, _) = Journal::open(&dir).unwrap();
+            j.accepted(
+                "done",
+                "pkt.a = pkt.b;",
+                &JobOptions::default(),
+                None,
+                0,
+                None,
+            );
+            j.completed("done");
+        }
+        // A directory squatting on the temp path fails the rewrite.
+        let tmp = dir.join("journal.jsonl.tmp");
+        std::fs::create_dir_all(&tmp).unwrap();
+        let (j, _) = Journal::open(&dir).unwrap();
+        assert!(j.degraded(), "the failed startup compaction must degrade");
+        assert_eq!(j.errors(), 1);
+        std::fs::remove_dir(&tmp).unwrap();
+        for i in 0..40 {
+            let key = format!("k{i}");
+            j.accepted(
+                &key,
+                "pkt.a = pkt.b;",
+                &JobOptions::default(),
+                None,
+                0,
+                None,
+            );
+            j.completed(&key);
+        }
+        assert!(!j.degraded(), "a healthy disk must re-attach the journal");
+        assert!(j.log.compactions() >= 1);
+        j.accepted(
+            "late",
+            "pkt.c = pkt.d;",
+            &JobOptions::default(),
+            None,
+            0,
+            None,
+        );
+        drop(j);
+        let (_, replay) = Journal::open(&dir).unwrap();
+        let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
+        assert_eq!(keys, ["late"], "a job accepted after re-attach must replay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -69,6 +69,7 @@
 
 #![warn(missing_docs)]
 
+mod append_log;
 pub mod cache;
 pub mod client;
 pub mod faults;

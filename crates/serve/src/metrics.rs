@@ -2,10 +2,10 @@
 //! zero-dependency Prometheus text-exposition endpoint.
 //!
 //! The daemon records one sample per job into a fixed grid of
-//! log-bucketed histograms — stage × outcome × spec family — using the
-//! same power-of-two bucketing as [`chipmunk_trace::metrics`], so
-//! percentile estimates here carry the same guarantee: monotone in `p`
-//! and within one bucket of the exact sample quantile.
+//! [`chipmunk_trace::metrics::Histogram`]s — stage × outcome × spec
+//! family × strategy — so percentile estimates here carry the trace
+//! crate's guarantee: monotone in `p` and within one bucket of the exact
+//! sample quantile.
 //!
 //! Labels:
 //!
@@ -42,13 +42,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chipmunk_trace::json::Json;
-use chipmunk_trace::metrics::percentile_of;
+use chipmunk_trace::metrics::{percentile_of, Histogram, NUM_BUCKETS};
 
 use crate::faults::{self, FaultKind};
-
-/// Number of log2 buckets, matching `chipmunk_trace::metrics::Histogram`:
-/// bucket 0 holds zero, bucket `b` holds values with `b` significant bits.
-const NUM_BUCKETS: usize = 65;
 
 /// The quantiles every summary exposes.
 pub const QUANTILES: [(f64, &str); 3] = [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99")];
@@ -219,43 +215,10 @@ impl Strat {
     }
 }
 
-/// One labeled histogram cell: log2 buckets plus an exact sum, all
-/// lock-free (a scrape may tear between buckets and sum, which is the
-/// usual Prometheus contract for concurrently updated summaries).
-struct Cell {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum: AtomicU64,
-}
-
-impl Cell {
-    const fn new() -> Cell {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Cell {
-            buckets: [ZERO; NUM_BUCKETS],
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, v: u64) {
-        let bucket = (64 - v.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ([u64; NUM_BUCKETS], u64) {
-        let mut b = [0u64; NUM_BUCKETS];
-        for (slot, bucket) in b.iter_mut().zip(self.buckets.iter()) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        (b, self.sum.load(Ordering::Relaxed))
-    }
-}
-
 /// The daemon's rolling telemetry: latency histograms per
 /// (stage, outcome, family, strategy) plus cumulative solver-cost gauges.
 pub struct Telemetry {
-    cells: Vec<Cell>, // row-major over (stage, outcome, family, strategy)
+    cells: Vec<Histogram>, // row-major over (stage, outcome, family, strategy)
     /// Synthesis-solver SAT conflicts across all fresh compiles.
     pub solver_conflicts: AtomicU64,
     /// Synthesis-solver SAT propagations across all fresh compiles.
@@ -281,7 +244,7 @@ impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry {
             cells: (0..STAGES.len() * OUTCOMES.len() * FAMILIES.len() * STRATS.len())
-                .map(|_| Cell::new())
+                .map(|_| Histogram::new())
                 .collect(),
             solver_conflicts: AtomicU64::new(0),
             solver_propagations: AtomicU64::new(0),
@@ -292,7 +255,7 @@ impl Telemetry {
         }
     }
 
-    fn cell(&self, stage: Stage, outcome: Outcome, family: Family, strat: Strat) -> &Cell {
+    fn cell(&self, stage: Stage, outcome: Outcome, family: Family, strat: Strat) -> &Histogram {
         &self.cells[stage.index() * (OUTCOMES.len() * FAMILIES.len() * STRATS.len())
             + outcome.index() * (FAMILIES.len() * STRATS.len())
             + family.index() * STRATS.len()
@@ -345,17 +308,17 @@ impl Telemetry {
     /// Merge every (outcome, family, strategy) cell of `stage` into one
     /// bucket vector (log2 buckets merge by addition). Returns
     /// `(buckets, sum, count)`.
-    pub fn stage_merged(&self, stage: Stage) -> ([u64; NUM_BUCKETS], u64, u64) {
-        let mut buckets = [0u64; NUM_BUCKETS];
+    pub fn stage_merged(&self, stage: Stage) -> (Vec<u64>, u64, u64) {
+        let mut buckets = vec![0u64; NUM_BUCKETS];
         let mut sum = 0u64;
         for outcome in OUTCOMES {
             for family in FAMILIES {
                 for strat in STRATS {
-                    let (b, s) = self.cell(stage, outcome, family, strat).snapshot();
-                    for (acc, v) in buckets.iter_mut().zip(b.iter()) {
+                    let cell = self.cell(stage, outcome, family, strat);
+                    for (acc, v) in buckets.iter_mut().zip(cell.snapshot()) {
                         *acc += v;
                     }
-                    sum = sum.saturating_add(s);
+                    sum = sum.saturating_add(cell.sum());
                 }
             }
         }
@@ -369,12 +332,7 @@ impl Telemetry {
         let mut n = 0u64;
         for family in FAMILIES {
             for strat in STRATS {
-                n += self
-                    .cell(stage, outcome, family, strat)
-                    .snapshot()
-                    .0
-                    .iter()
-                    .sum::<u64>();
+                n += self.cell(stage, outcome, family, strat).count();
             }
         }
         n
@@ -512,7 +470,8 @@ pub fn render_exposition(
         for outcome in OUTCOMES {
             for family in FAMILIES {
                 for strat in STRATS {
-                    let (buckets, sum) = telemetry.cell(stage, outcome, family, strat).snapshot();
+                    let cell = telemetry.cell(stage, outcome, family, strat);
+                    let (buckets, sum) = (cell.snapshot(), cell.sum());
                     let count: u64 = buckets.iter().sum();
                     if count == 0 {
                         continue;
@@ -566,16 +525,6 @@ pub fn render_exposition(
         ));
     }
     out
-}
-
-/// A bucket-merged summary block for ad-hoc renderers (the `top` CLI).
-/// Returns `(p50, p95, p99)` upper-bound estimates, or `None` when empty.
-pub fn merged_percentiles(buckets: &[u64]) -> Option<(u64, u64, u64)> {
-    Some((
-        percentile_of(buckets, 50.0)?,
-        percentile_of(buckets, 95.0)?,
-        percentile_of(buckets, 99.0)?,
-    ))
 }
 
 /// The running metrics endpoint: its bound address plus the thread to
@@ -774,8 +723,8 @@ chipmunk_serve_cache_hit_rate 0.25
         assert_eq!(text, expected);
     }
 
-    /// `bucket_upper_bound` (re-exported through the trace crate) and the
-    /// merged-percentile helpers agree with single-cell snapshots.
+    /// `bucket_upper_bound` (re-exported through the trace crate) and
+    /// percentiles of the merged buckets agree with single-cell snapshots.
     #[test]
     fn stage_merge_sums_cells_and_preserves_percentile_bounds() {
         let t = Telemetry::new();
@@ -786,7 +735,7 @@ chipmunk_serve_cache_hit_rate 0.25
         let (buckets, sum, count) = t.stage_merged(Stage::Compile);
         assert_eq!(count, 10);
         assert_eq!(sum, 2030);
-        let (p50, p95, p99) = merged_percentiles(&buckets).unwrap();
+        let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|p| percentile_of(&buckets, p).unwrap());
         assert!(p50 <= p95 && p95 <= p99);
         // The p99 estimate is the upper bound of the bucket holding 1000.
         assert_eq!(p99, bucket_upper_bound(10));

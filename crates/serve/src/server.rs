@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -865,6 +865,10 @@ fn begin_shutdown(shared: &Arc<Shared>, abort: bool) {
 /// as they are produced.
 fn handle_connection(stream: TcpStream, guard: ConnGuard) {
     let shared = guard.0.clone();
+    // Replies are written one line at a time; with Nagle on, every reply
+    // after the first in a pipelined burst waits for the client's
+    // (possibly delayed) ACK.
+    let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -2154,6 +2158,14 @@ fn stats_response(shared: &Shared) -> Json {
                 .map(|j| Json::from(j.errors()))
                 .unwrap_or(Json::Null),
         ),
+        (
+            "journal_degraded",
+            shared
+                .journal
+                .as_ref()
+                .map(|j| Json::Bool(j.degraded()))
+                .unwrap_or(Json::Null),
+        ),
     ])
 }
 
@@ -2371,11 +2383,4 @@ fn write_line(w: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
-}
-
-/// Resolve a user-supplied address string early, for friendlier CLI errors.
-pub fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))
 }

@@ -829,6 +829,11 @@ fn journal_replays_unfinished_jobs_into_the_next_daemon() {
     assert_eq!(u64_field(&stats, "submitted"), 1, "stats: {stats}");
     assert_eq!(u64_field(&stats, "completed"), 1, "stats: {stats}");
     assert_eq!(u64_field(&stats, "journal_pending"), 0, "stats: {stats}");
+    assert_eq!(
+        stats.get("journal_degraded").and_then(Json::as_bool),
+        Some(false),
+        "stats: {stats}"
+    );
     assert_conservation(&stats);
 
     let ack = client.shutdown(false).unwrap();

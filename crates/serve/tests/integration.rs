@@ -625,6 +625,52 @@ fn idle_connections_are_dropped_after_the_read_timeout() {
     handle.join();
 }
 
+/// Pipelined bursts of cheap ops from a plain socket (no TCP_QUICKACK,
+/// no TCP_NODELAY on the client side) come back in far less than the
+/// 40 ms Linux delayed-ACK minimum. With Nagle on the daemon's socket,
+/// every reply after the first in a burst waits for the client's delayed
+/// ACK, so each burst takes about 40 ms.
+#[test]
+fn pipelined_bursts_are_not_held_back_by_nagle() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = server::start(&ServerConfig {
+        workers: 0,
+        cache_dir: None,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let burst: String = (0..8)
+        .map(|id| format!("{{\"op\":\"stats\",\"id\":{id}}}\n"))
+        .collect();
+    // The first bursts run while the kernel is still in quick-ACK mode;
+    // the median over the rest is the steady state.
+    let mut times: Vec<std::time::Duration> = (0..24)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            writer.write_all(burst.as_bytes()).unwrap();
+            for _ in 0..8 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(ok(&Json::parse(line.trim()).unwrap()), "{line}");
+            }
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(15),
+        "median pipelined burst took {median:?}: replies are waiting on ACKs"
+    );
+    drop(writer);
+    let mut control = Client::connect(handle.local_addr()).unwrap();
+    control.shutdown(true).unwrap();
+    handle.join();
+}
+
 #[test]
 fn full_queue_gets_typed_backpressure_and_abort_fails_queued_jobs() {
     // No workers: jobs queue forever, making the full/abort path

@@ -40,11 +40,18 @@ impl Default for Counter {
     }
 }
 
+/// Number of histogram buckets: bucket 0 holds zero, bucket `b` holds
+/// values with `b` significant bits.
+pub const NUM_BUCKETS: usize = 65;
+
 /// A power-of-two-bucketed histogram of `u64` samples (bucket `k` counts
 /// values with bit length `k`, i.e. `v == 0 → bucket 0`, otherwise
-/// `bucket = 64 - v.leading_zeros()`).
+/// `bucket = 64 - v.leading_zeros()`) plus the exact sum of the samples.
+/// Lock-free: a concurrent reader may see buckets and sum torn by an
+/// in-flight `record`, the usual contract for a scraped summary.
 pub struct Histogram {
-    buckets: [AtomicU64; 65],
+    buckets: [AtomicU64; NUM_BUCKETS],
+    sum: AtomicU64,
 }
 
 impl Histogram {
@@ -53,7 +60,8 @@ impl Histogram {
     pub const fn new() -> Self {
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
-            buckets: [ZERO; 65],
+            buckets: [ZERO; NUM_BUCKETS],
+            sum: AtomicU64::new(0),
         }
     }
 
@@ -62,6 +70,7 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         let b = (64 - v.leading_zeros()) as usize;
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Bucket counts (index = bit length of the sample).
@@ -70,6 +79,11 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
+    }
+
+    /// Exact sum of the recorded samples (wrapping on overflow).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Total number of recorded samples.
@@ -234,6 +248,7 @@ mod tests {
         assert_eq!(snap[2], 2);
         assert_eq!(snap[41], 1);
         assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 6 + (1 << 40));
     }
 
     #[test]
