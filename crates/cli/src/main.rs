@@ -1,7 +1,7 @@
 //! `chipmunkc` — the command-line front end of the chipmunk-rs workspace.
 //!
 //! ```text
-//! chipmunkc compile  <file> [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--parallel] [--portfolio] [--slots N] [--json] [--check-proofs] [--trace OUT.jsonl]
+//! chipmunkc compile  <file> [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--portfolio] [--slots N] [--json] [--check-proofs] [--trace OUT.jsonl]
 //! chipmunkc check-proof <file>
 //! chipmunkc plan     <file> [same compile flags] [--explain] [--json]
 //! chipmunkc domino   <file> [--template T] [--imm N] [--width W]
@@ -11,7 +11,7 @@
 //! chipmunkc run      <file> [--template T] [--packets N] [--width W] [--trace CSV]
 //! chipmunkc trace-report <file.jsonl>
 //! chipmunkc serve    [--addr H:P] [--workers N] [--queue-cap N] [--cache-dir DIR] [--cache-max-entries N] [--max-conns N] [--idle-timeout S] [--metrics-addr H:P] [--slow-ms N] [--default-deadline-ms N] [--deadline-grace-ms N] [--brownout-p95-ms N] [--shed-below-priority P] [--watchdog-escalate-ms N] [--trace OUT.jsonl]
-//! chipmunkc submit   <file> [--addr H:P] [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--deadline-ms N] [--parallel] [--portfolio] [--priority P] [--trace ID] [--json]
+//! chipmunkc submit   <file> [--addr H:P] [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--deadline-ms N] [--portfolio] [--priority P] [--trace ID] [--json]
 //! chipmunkc submit   --batch <file>... [--addr H:P] [shared compile flags] [--progress] [--json]
 //! chipmunkc submit   --status | --stats | --shutdown | --shutdown-now [--addr H:P]
 //! chipmunkc cache    [--stats | --compact | --clear] [--addr H:P]
@@ -46,7 +46,10 @@
 //! solving anything. `compile --portfolio` / `submit --portfolio` race
 //! the hole-restriction strategies at each depth and keep the first
 //! *certified* winner; `submit --priority P` (0–9) pops ahead of
-//! lower-priority jobs in the daemon's queue.
+//! lower-priority jobs in the daemon's queue. Compiles escalate one depth
+//! at a time, so the first fit is the shallowest; `compile`, `plan` and
+//! `submit` reject the removed `--parallel` (the depth race) with an
+//! error.
 //!
 //! Overload control: `submit --deadline-ms N` gives the job an
 //! end-to-end deadline the daemon propagates into per-step solver
@@ -95,6 +98,8 @@ impl Args {
         while let Some(a) = raw.next() {
             if let Some(name) = a.strip_prefix("--") {
                 // Boolean flags take no value; everything else takes one.
+                // `parallel` is removed but stays listed, so it can never
+                // swallow the next argument as its value.
                 if matches!(
                     name,
                     "json"
@@ -175,7 +180,6 @@ fn compile_options_from_args(args: &Args) -> Result<CompilerOptions, String> {
     opts.timeout = Some(Duration::from_secs(
         args.num("timeout", CompilerOptions::SERVICE_TIMEOUT_MS / 1000)?,
     ));
-    opts.parallel = args.has("parallel");
     opts.portfolio = args.has("portfolio");
     Ok(opts)
 }
@@ -225,6 +229,12 @@ fn main() -> ExitCode {
         }
     };
     let res = match cmd.as_str() {
+        "compile" | "plan" | "submit" if args.has("parallel") => Err(
+            "--parallel was removed: the depth race lost to sequential escalation on every \
+             measured program; compiles escalate one depth at a time, and the first fit is \
+             the shallowest"
+                .to_string(),
+        ),
         "compile" => cmd_compile(&args),
         "plan" => cmd_plan(&args),
         "domino" => cmd_domino(&args),
@@ -530,7 +540,6 @@ fn submit_options(args: &Args) -> Result<Json, String> {
                     .unwrap_or(CompilerOptions::SERVICE_TEMPLATE),
             ),
         ),
-        ("parallel", Json::Bool(args.has("parallel"))),
         ("portfolio", Json::Bool(args.has("portfolio"))),
     ];
     if let Some(slots) = args.get("slots") {

@@ -19,15 +19,40 @@ fn scratch(name: &str) -> PathBuf {
     d
 }
 
-/// Start `chipmunkc serve` on an ephemeral port and return the child
+/// A spawned `chipmunkc serve` process. Dropping it kills and reaps the
+/// process, also when a failed assertion unwinds the test, so a failed
+/// run leaves no daemon compiling in the background.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+/// Start `chipmunkc serve` on an ephemeral port and return the daemon
 /// plus the address it announced on stderr.
-fn spawn_serve(dir: &Path, faults: Option<&str>) -> (Child, String) {
+fn spawn_serve(dir: &Path, faults: Option<&str>) -> (Daemon, String) {
     spawn_serve_traced(dir, faults, None)
 }
 
 /// [`spawn_serve`], optionally writing the daemon's structured trace to
 /// `trace` (JSON Lines) via `CHIPMUNK_TRACE`.
-fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) -> (Child, String) {
+fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) -> (Daemon, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_chipmunkc"));
     cmd.args([
         "serve",
@@ -58,7 +83,7 @@ fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) ->
             cmd.env_remove("CHIPMUNK_TRACE");
         }
     }
-    let mut child = cmd.spawn().expect("serve spawns");
+    let mut child = Daemon(cmd.spawn().expect("serve spawns"));
     let stderr = child.stderr.take().expect("stderr piped");
     let mut lines = BufReader::new(stderr).lines();
     let addr = loop {

@@ -29,7 +29,7 @@ use chipmunk_lang::spec::compile_spec;
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::Pipeline;
 use chipmunk_sat::{
-    BudgetAccount, Certificate, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
+    BudgetAccount, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
 };
 
 use crate::sketch::{DecodedConfig, Sketch};
@@ -230,8 +230,8 @@ pub enum SynthesisError {
     /// The deadline, iteration cap, or a resource budget was exhausted.
     Timeout,
     /// The run observed its cooperative cancellation flag and stopped —
-    /// raced out by a sibling search (portfolio/parallel sweep) or an
-    /// external abort. Distinct from [`SynthesisError::Timeout`] so a
+    /// raced out by a sibling strategy (portfolio race) or an external
+    /// abort. Distinct from [`SynthesisError::Timeout`] so a
     /// cancelled racing loser is never attributed as a budget failure.
     Cancelled,
     /// The options are self-inconsistent (e.g. a `verify_width` narrower
@@ -298,8 +298,8 @@ pub struct SynthControl {
 
 /// [`synthesize`] with a cooperative cancellation flag: when another
 /// thread sets it, the run stops at the next solver checkpoint and reports
-/// [`SynthesisError::Cancelled`]. Used by the parallel grid-depth sweep so
-/// a shallow success can stop the deeper (often much slower) searches.
+/// [`SynthesisError::Cancelled`], so a caller racing several searches
+/// can stop the losers.
 pub fn synthesize_with_cancel(
     prog: &Program,
     sketch: &Sketch,
@@ -708,14 +708,6 @@ fn fresh_verify_requested() -> bool {
     std::env::var_os("CHIPMUNK_FRESH_VERIFY").is_some_and(|v| v == "1")
 }
 
-/// Test hook (`CHIPMUNK_CORRUPT_INFEASIBLE_PROOF=1`): deliberately damage
-/// the incremental path's certificate before checking it, so the
-/// quarantine-and-re-solve ladder can be exercised end to end. Never
-/// applied to fresh re-solve certificates.
-fn corrupt_infeasible_proof_requested() -> bool {
-    std::env::var_os("CHIPMUNK_CORRUPT_INFEASIBLE_PROOF").is_some_and(|v| v == "1")
-}
-
 /// Byte budget for the synthesis solver's proof log
 /// (`CHIPMUNK_PROOF_BYTES` override; `0` disables logging).
 fn proof_byte_limit() -> u64 {
@@ -725,35 +717,21 @@ fn proof_byte_limit() -> u64 {
         .unwrap_or(DEFAULT_PROOF_BYTES)
 }
 
-/// Damage a certificate in a way the checker must catch: flip one literal
-/// of the first lemma, or, for a search-free proof, append a deletion of
-/// a clause that was never added.
-fn corrupt_certificate(cert: &mut Certificate) {
-    for step in &mut cert.steps {
-        if let chipmunk_sat::ProofStep::Add(lits) = step {
-            if let Some(l) = lits.first_mut() {
-                *l = !*l;
-                return;
-            }
-        }
-    }
-    cert.steps.push(chipmunk_sat::ProofStep::Delete(Vec::new()));
-}
-
 /// Pull the DRAT certificate off an UNSAT solver and validate it,
-/// recording the outcome into `info`. `corruptible` arms the
-/// [`corrupt_infeasible_proof_requested`] test hook (incremental path
-/// only). Checker work is charged to the job-wide `account` and capped by
-/// [`CHECK_PROPAGATION_LIMIT`].
+/// recording the outcome into `info`. `incremental` marks the incremental
+/// path's solver, the only one the unit tests' proof-corruption hook
+/// damages. Checker work is charged to the job-wide `account` and capped
+/// by [`CHECK_PROPAGATION_LIMIT`].
+#[cfg_attr(not(test), allow(unused_variables))]
 fn certify_unsat_solver(
     solver: &Solver,
     account: &Arc<BudgetAccount>,
-    corruptible: bool,
+    incremental: bool,
     info: &mut InfeasibleCert,
 ) -> CertifyOutcome {
     info.truncated = solver.proof_truncated();
     info.proof_bytes = solver.proof_bytes();
-    let Some(mut cert) = solver.certificate() else {
+    let Some(cert) = solver.certificate() else {
         info.reason = Some(if info.truncated {
             "proof log overflowed its byte budget".to_string()
         } else {
@@ -761,9 +739,8 @@ fn certify_unsat_solver(
         });
         return CertifyOutcome::NoProof;
     };
-    if corruptible && corrupt_infeasible_proof_requested() {
-        corrupt_certificate(&mut cert);
-    }
+    #[cfg(test)]
+    let cert = tests::corrupt_if_armed(cert, incremental);
     info.lemmas = cert.num_lemmas() as u64;
     let budget = CheckBudget {
         propagations: Some(CHECK_PROPAGATION_LIMIT),
@@ -1262,6 +1239,7 @@ mod tests {
     use crate::sketch::SketchOptions;
     use chipmunk_pisa::stateful::library;
     use chipmunk_pisa::GridSpec;
+    use chipmunk_sat::Certificate;
 
     fn fast_opts() -> CegisOptions {
         CegisOptions {
@@ -1275,6 +1253,74 @@ mod tests {
             domain_width: None,
             budget: ResourceBudget::UNLIMITED,
         }
+    }
+
+    thread_local! {
+        /// Proof-corruption hook: while set, the calling thread's
+        /// incremental infeasibility certificates are damaged before the
+        /// check, forcing the quarantine → fresh-re-solve path a real
+        /// proof-logging bug would take. Solo plans run their steps on the
+        /// calling thread, so a test arms it around one `compile`.
+        static CORRUPT_INFEASIBLE_PROOF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Damage an armed incremental certificate in a way the checker must
+    /// catch: flip one literal of the first lemma, or, for a search-free
+    /// proof, append a deletion of a clause that was never added.
+    pub(super) fn corrupt_if_armed(mut cert: Certificate, incremental: bool) -> Certificate {
+        if !incremental || !CORRUPT_INFEASIBLE_PROOF.get() {
+            return cert;
+        }
+        let first_lemma = cert.steps.iter_mut().find_map(|step| match step {
+            chipmunk_sat::ProofStep::Add(lits) => lits.first_mut(),
+            _ => None,
+        });
+        match first_lemma {
+            Some(l) => *l = !*l,
+            None => cert.steps.push(chipmunk_sat::ProofStep::Delete(Vec::new())),
+        }
+        cert
+    }
+
+    /// A corrupted incremental proof is *rejected* by the checker, the
+    /// verdict is quarantined, and one fresh re-solve re-derives the
+    /// infeasibility with a proof that does validate — the caller still
+    /// ends up with a certified verdict, and the record shows the whole
+    /// journey.
+    #[test]
+    fn corrupted_incremental_proof_is_quarantined_and_fresh_resolved() {
+        // The small test grid can never fit a multiplication.
+        let prog = chipmunk_lang::parse("pkt.z = pkt.x * pkt.y;").unwrap();
+        CORRUPT_INFEASIBLE_PROOF.set(true);
+        let res = crate::compile(&prog, &crate::CompilerOptions::small_for_tests());
+        CORRUPT_INFEASIBLE_PROOF.set(false);
+        let cert = match res.unwrap_err() {
+            crate::CodegenError::Infeasible(cert) => cert,
+            other => panic!("expected an infeasible verdict, got: {other}"),
+        };
+        assert!(
+            cert.quarantined,
+            "a corrupted incremental proof must quarantine the verdict: {cert:?}"
+        );
+        assert!(
+            cert.fresh_resolve,
+            "quarantine must trigger a fresh re-solve: {cert:?}"
+        );
+        assert!(
+            cert.certified,
+            "the fresh re-solve must re-certify the verdict: {cert:?}"
+        );
+        let proof = cert
+            .proof
+            .as_deref()
+            .expect("the re-certified verdict ships its (fresh) proof");
+        assert!(
+            Certificate::parse(proof)
+                .unwrap()
+                .check(&CheckBudget::default())
+                .is_valid(),
+            "shipped proof must re-validate independently"
+        );
     }
 
     fn synth_ok(src: &str, grid: GridSpec, opts: &CegisOptions) -> Synthesized {

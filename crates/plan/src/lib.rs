@@ -108,10 +108,6 @@ pub struct PlanStep {
 pub enum RaceMode {
     /// A single step, run inline on the calling thread.
     Solo,
-    /// Steps at *different depths* race; a success cancels only deeper
-    /// steps (their answer could never be preferred) and the shallowest
-    /// success wins, so the result stays depth-minimal.
-    Depths,
     /// Steps at the *same depth* with different strategies race; the first
     /// **certified** win cancels every other step in the group, and so
     /// does an `Infeasible` verdict from a *complete* strategy — the
@@ -126,7 +122,6 @@ impl RaceMode {
     pub fn name(self) -> &'static str {
         match self {
             RaceMode::Solo => "solo",
-            RaceMode::Depths => "race-depths",
             RaceMode::Strategies => "race-strategies",
         }
     }
@@ -245,10 +240,7 @@ pub struct PlanInputs {
     /// Grid width (already resolved against the program's field/state
     /// counts by the caller).
     pub slots: usize,
-    /// Race all depths concurrently (the parallel grid sweep).
-    pub parallel: bool,
     /// Race strategies within each depth, first certified win takes all.
-    /// Takes precedence over `parallel`.
     pub portfolio: bool,
     /// Solver budget applied to every step.
     pub budget: ResourceBudget,
@@ -261,64 +253,45 @@ pub struct PlanInputs {
 /// Produce the schedule for one compilation.
 ///
 /// * Default: one solo step per depth `1..=max_stages`, smallest first —
-///   byte-for-byte the paper's escalation loop.
-/// * `parallel`: the same steps as one depth-racing group.
+///   byte-for-byte the paper's escalation loop, whose first success is
+///   the depth-minimal answer.
 /// * `portfolio`: per depth, a strategy-racing group of
 ///   opcode-restricted / canonical-allocation / full-ALU; depths still
 ///   escalate smallest-first so the result stays depth-minimal.
 pub fn plan(inputs: &PlanInputs) -> CompilePlan {
     let mut p = CompilePlan::default();
-    let default_strategy = if inputs.canonical_fields {
-        Strategy::CanonicalAllocation
-    } else {
-        Strategy::FullAlu
-    };
-    let push = |p: &mut CompilePlan, stages: usize, strategy: Strategy, group: usize| {
-        let index = p.steps.len();
-        p.steps.push(PlanStep {
-            index,
-            stages,
-            slots: inputs.slots,
-            strategy,
-            budget: inputs.budget,
-            group,
-        });
-        index
-    };
-    if inputs.portfolio {
-        for stages in 1..=inputs.max_stages {
-            let group = p.groups.len();
-            let steps = [
+    let (mode, strategies): (RaceMode, &[Strategy]) = if inputs.portfolio {
+        (
+            RaceMode::Strategies,
+            &[
                 Strategy::OpcodeRestricted,
                 Strategy::CanonicalAllocation,
                 Strategy::FullAlu,
-            ]
-            .into_iter()
-            .map(|s| push(&mut p, stages, s, group))
-            .collect();
-            p.groups.push(PlanGroup {
-                mode: RaceMode::Strategies,
-                steps,
-            });
-        }
-    } else if inputs.parallel {
-        let group = p.groups.len();
-        let steps = (1..=inputs.max_stages)
-            .map(|stages| push(&mut p, stages, default_strategy, group))
-            .collect();
-        p.groups.push(PlanGroup {
-            mode: RaceMode::Depths,
-            steps,
-        });
+            ],
+        )
+    } else if inputs.canonical_fields {
+        (RaceMode::Solo, &[Strategy::CanonicalAllocation])
     } else {
-        for stages in 1..=inputs.max_stages {
-            let group = p.groups.len();
-            let steps = vec![push(&mut p, stages, default_strategy, group)];
-            p.groups.push(PlanGroup {
-                mode: RaceMode::Solo,
-                steps,
-            });
-        }
+        (RaceMode::Solo, &[Strategy::FullAlu])
+    };
+    for stages in 1..=inputs.max_stages {
+        let group = p.groups.len();
+        let steps = strategies
+            .iter()
+            .map(|&strategy| {
+                let index = p.steps.len();
+                p.steps.push(PlanStep {
+                    index,
+                    stages,
+                    slots: inputs.slots,
+                    strategy,
+                    budget: inputs.budget,
+                    group,
+                });
+                index
+            })
+            .collect();
+        p.groups.push(PlanGroup { mode, steps });
     }
     p
 }
@@ -416,8 +389,8 @@ pub enum ExecError {
     Cancelled,
     /// Deterministic caller error, reported from the first step.
     InvalidOptions(String),
-    /// A racing step's thread panicked and no other step decided the
-    /// plan. Carries a bounded panic message.
+    /// A raced strategy's step panicked and no other step decided the
+    /// plan. Carries a bounded panic message naming the depth.
     Internal(String),
     /// A winning step's result failed certification.
     Uncertified(String),
@@ -458,13 +431,6 @@ pub struct ExecControl<'a> {
     /// time-slices competing solvers, making every race run at the sum
     /// of its members instead of their minimum.
     pub race_threads: Option<usize>,
-}
-
-impl ExecControl<'_> {
-    fn effective_race_threads(&self) -> usize {
-        self.race_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
 }
 
 /// Assumed worst-case solver throughput used to convert remaining
@@ -510,11 +476,11 @@ pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> Re
 /// Run `plan`. `runner` maps one step to a synthesis attempt; `certify`
 /// accepts or rejects a candidate win (its `Err` carries the reason).
 ///
-/// Certification placement follows the race mode: solo steps and
-/// depth-races certify the chosen winner once (a failure aborts the
-/// plan — the historical driver behavior), while strategy-races certify
-/// *inside* the race, so only a certified win cancels the other
-/// strategies and an uncertified candidate just drops out.
+/// Every step certifies its own candidate as soon as it finishes, so only
+/// a certified win ends a group. In a solo group an uncertified candidate
+/// fails the plan (the historical driver behavior); in a strategy group
+/// it drops out while its siblings continue, and the group fails
+/// `Uncertified` only if none of them wins.
 pub fn execute<T, R, C>(
     plan: &CompilePlan,
     runner: R,
@@ -554,23 +520,17 @@ where
         if group.steps.iter().all(|&si| si < ctl.resume_from) {
             continue;
         }
-        if ctl
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
+        if ctl.cancelled() {
             return Err(ExecError::Cancelled);
         }
         let verdict = match group.mode {
-            RaceMode::Solo => run_solo(plan, group, &runner, &certify, &ctl)?,
-            RaceMode::Depths => run_depth_race(plan, group, &runner, &certify, &ctl)?,
-            RaceMode::Strategies => {
-                if ctl.effective_race_threads() > 1 {
-                    run_strategy_race(plan, group, &runner, &certify, &ctl)?
-                } else {
-                    run_strategy_sequential(plan, group, &runner, &certify, &ctl)?
-                }
+            // Solo steps run unguarded: a panic propagates to the caller
+            // instead of escalating to a deeper, non-minimal grid.
+            RaceMode::Solo => run_in_order(plan, group, &runner, &certify, &ctl, false)?,
+            RaceMode::Strategies if ctl.effective_race_threads() > 1 => {
+                run_race(plan, group, &runner, &certify, &ctl)?
             }
+            RaceMode::Strategies => run_in_order(plan, group, &runner, &certify, &ctl, true)?,
         };
         match verdict {
             GroupVerdict::Won(success) => return Ok(success),
@@ -582,9 +542,7 @@ where
                 }
             }
             GroupVerdict::Panicked(msg) => {
-                if panicked.is_none() {
-                    panicked = Some(msg);
-                }
+                panicked.get_or_insert(msg);
             }
         }
     }
@@ -599,586 +557,332 @@ where
 
 enum GroupVerdict<T> {
     Won(ExecSuccess<T>),
-    /// Conclusively infeasible at this group's depth(s); escalate.
+    /// Conclusively infeasible at this group's depth; escalate.
     Infeasible,
     /// Undecided for budget/deadline reasons; escalate, but remember.
     Timeout,
-    /// Undecided because a thread panicked; escalate, but remember.
+    /// Undecided because a step panicked; escalate, but remember.
     Panicked(String),
 }
 
-fn observe(ctl: &ExecControl<'_>, step: &PlanStep, outcome: StepOutcome, started: Instant) {
-    chipmunk_trace::event!(
-        "plan.step",
-        step = step.index as u64,
-        stages = step.stages as u64,
-        strategy = step.strategy.name(),
-        outcome = outcome.name(),
-    );
-    if let Some(obs) = ctl.observer {
-        obs(&StepReport {
-            step: step.index,
-            stages: step.stages,
-            strategy: step.strategy,
-            outcome,
-            elapsed: started.elapsed(),
-        });
+impl ExecControl<'_> {
+    fn effective_race_threads(&self) -> usize {
+        self.race_threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn observe(&self, step: &PlanStep, outcome: StepOutcome, started: Instant) {
+        chipmunk_trace::event!(
+            "plan.step",
+            step = step.index as u64,
+            stages = step.stages as u64,
+            strategy = step.strategy.name(),
+            outcome = outcome.name(),
+        );
+        if let Some(obs) = self.observer {
+            obs(&StepReport {
+                step: step.index,
+                stages: step.stages,
+                strategy: step.strategy,
+                outcome,
+                elapsed: started.elapsed(),
+            });
+        }
     }
 }
 
-fn run_solo<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
+/// How one attempted step ended, after certification.
+enum Finished<T> {
+    /// Synthesized and certified.
+    Won(T),
+    /// Synthesized, but certification rejected it for the given reason.
+    Uncertified(String),
+    /// The runner reported no result.
+    Failed(StepError),
+    /// The runner panicked (bounded message).
+    Panicked(String),
+}
+
+/// Run one step and certify what it synthesizes. With `isolate`, a panic
+/// in the runner is caught and reported as [`Finished::Panicked`].
+fn attempt<T, R, C>(
+    step: &PlanStep,
     runner: &R,
     certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
+    cancel: Option<Arc<AtomicBool>>,
+    isolate: bool,
+) -> Finished<T>
 where
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
+    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError>,
+    C: Fn(&PlanStep, &T) -> Result<(), String>,
 {
-    let step = &plan.steps[group.steps[0]];
-    let started = Instant::now();
-    match runner(step, ctl.cancel.clone()) {
+    let res = if isolate {
+        match catch_unwind(AssertUnwindSafe(|| runner(step, cancel))) {
+            Ok(res) => res,
+            Err(payload) => return Finished::Panicked(panic_text(payload.as_ref())),
+        }
+    } else {
+        runner(step, cancel)
+    };
+    match res {
         Ok(value) => match certify(step, &value) {
-            Ok(()) => {
-                observe(ctl, step, StepOutcome::Success, started);
-                Ok(GroupVerdict::Won(ExecSuccess {
-                    step: step.index,
-                    value,
-                }))
-            }
-            Err(why) => {
-                observe(ctl, step, StepOutcome::Uncertified, started);
-                Err(ExecError::Uncertified(why))
-            }
+            Ok(()) => Finished::Won(value),
+            Err(why) => Finished::Uncertified(why),
         },
-        Err(StepError::Infeasible { certified }) => {
-            observe(ctl, step, StepOutcome::Infeasible, started);
-            // An infeasibility verdict from an incomplete strategy proves
-            // nothing about the grid; treat it like an exhausted budget so
-            // the final diagnostic stays honest. (Solo plans always use a
-            // complete strategy today, but the executor must not rely on
-            // the planner for soundness.) A complete strategy's verdict
-            // stands whether or not its proof certified: with no siblings
-            // to cancel there is no authority question, and the caller
-            // receives the certification record explicitly flagged — an
-            // operator who disables proof logging degrades to an unchecked
-            // verdict, never a masqueraded timeout.
-            let _ = certified;
-            if step.strategy.is_complete() {
-                Ok(GroupVerdict::Infeasible)
-            } else {
-                Ok(GroupVerdict::Timeout)
-            }
-        }
-        Err(StepError::Timeout) => {
-            observe(ctl, step, StepOutcome::Timeout, started);
-            Ok(GroupVerdict::Timeout)
-        }
-        Err(StepError::Cancelled) => {
-            observe(ctl, step, StepOutcome::Cancelled, started);
-            Err(ExecError::Cancelled)
-        }
-        Err(StepError::InvalidOptions(m)) => {
-            observe(ctl, step, StepOutcome::InvalidOptions, started);
-            Err(ExecError::InvalidOptions(m))
-        }
+        Err(e) => Finished::Failed(e),
     }
 }
 
-/// Race all steps of `group` (distinct depths). A success cancels only
-/// *deeper* steps; the shallowest success wins; the winner is certified
-/// once after the race. Failure diagnostics are deterministic regardless
-/// of thread finish order: invalid-options beats timeout beats panic
-/// beats infeasible, and a cancelled step's Timeout is not counted.
-fn run_depth_race<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
-    runner: &R,
-    certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
-where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
-{
-    let n = group.steps.len();
-    let flags: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let mut results: Vec<RaceResult<T>> =
-        scope_race(plan, group, runner, ctl, &flags, |pos, res, flags| {
-            // A depth that synthesized cancels every deeper depth.
-            if res.is_ok() {
-                for f in &flags[pos + 1..] {
-                    f.store(true, Ordering::Relaxed);
-                }
-            }
-            None
-        });
-    results.sort_by_key(|(pos, _)| *pos);
-    let externally_cancelled = ctl
-        .cancel
-        .as_ref()
-        .is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
-    let mut invalid: Option<String> = None;
-    let mut incomplete_infeasible = false;
-    let mut best: Option<(usize, T)> = None;
-    for (pos, res) in results {
-        let step = &plan.steps[group.steps[pos]];
-        match res {
-            Ok(Ok(value)) => {
-                if best.is_none() {
-                    best = Some((step.index, value));
-                }
-            }
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                if invalid.is_none() {
-                    invalid = Some(m);
-                }
-            }
-            Ok(Err(StepError::Timeout)) => {
-                // A flagged step's Timeout is a cancellation artifact, not
-                // budget exhaustion (already attributed by the observer).
-                if !flags[pos].load(Ordering::Relaxed) {
-                    saw_timeout = true;
-                }
-            }
-            Ok(Err(StepError::Cancelled)) => {}
-            Ok(Err(StepError::Infeasible { certified: _ })) => {
-                // Certification is not consulted here: a depth race never
-                // lets infeasibility cancel work (only successes cancel
-                // deeper steps), and `saw_timeout` already outranks the
-                // infeasible classification below, so an unchecked verdict
-                // can only ever stand when every depth drained decisively
-                // — where it surfaces explicitly flagged, not erased.
-                if !step.strategy.is_complete() {
-                    incomplete_infeasible = true;
-                }
-            }
-            Err(msg) => {
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
-            }
-        }
-    }
-    match best {
-        Some((index, value)) => {
-            let step = &plan.steps[index];
-            match certify(step, &value) {
-                Ok(()) => Ok(GroupVerdict::Won(ExecSuccess { step: index, value })),
-                Err(why) => Err(ExecError::Uncertified(why)),
-            }
-        }
-        None if invalid.is_some() => Err(ExecError::InvalidOptions(invalid.unwrap())),
-        None if externally_cancelled => Err(ExecError::Cancelled),
-        None if saw_timeout => Ok(GroupVerdict::Timeout),
-        None => match panicked {
-            Some((stages, msg)) => Ok(GroupVerdict::Panicked(format!(
-                "search thread for depth {stages} panicked: {msg}"
-            ))),
-            // Every depth decided; if any verdict came from an incomplete
-            // strategy — or without a checked proof — the sweep is
-            // inconclusive rather than infeasible.
-            None if incomplete_infeasible => Ok(GroupVerdict::Timeout),
-            None => Ok(GroupVerdict::Infeasible),
-        },
+/// The step results of one group, folded as they finish. The concurrent
+/// race and the in-order trial share it, so both classify a group alike.
+/// Messages keep the earliest step in plan order, so a diagnostic never
+/// depends on which racing thread finished first.
+struct Tally<T> {
+    winner: Option<ExecSuccess<T>>,
+    invalid: Option<(usize, String)>,
+    uncertified: Option<(usize, String)>,
+    /// A complete strategy's UNSAT with a validated proof.
+    certified_infeasible: bool,
+    /// A complete strategy's UNSAT without one.
+    unchecked_infeasible: bool,
+    saw_timeout: bool,
+    panicked: Option<(usize, String)>,
+}
+
+fn keep_first(slot: &mut Option<(usize, String)>, step: usize, msg: String) {
+    if slot.as_ref().is_none_or(|(first, _)| step < *first) {
+        *slot = Some((step, msg));
     }
 }
 
-/// Race all steps of `group` (same depth, distinct strategies). The first
-/// *certified* success cancels every other step; an uncertified candidate
-/// drops out and the race continues. Infeasibility at this depth is only
-/// concluded from a complete strategy's verdict.
-fn run_strategy_race<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
-    runner: &R,
-    certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
-where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
-{
-    let n = group.steps.len();
-    let flags: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let winner: Mutex<Option<(usize, T)>> = Mutex::new(None);
-    let uncertified: Mutex<Option<String>> = Mutex::new(None);
-    let mut results: Vec<RaceResult<T>> =
-        scope_race(plan, group, runner, ctl, &flags, |pos, res, flags| {
-            // Certify inside the race: only a certified win takes the
-            // group, and it cancels everyone else.
-            let Ok(value) = res else {
-                // A *proof-certified* Infeasible verdict from a *complete*
-                // strategy settles the whole depth — no sibling can win a
-                // space the unrestricted (or symmetry-broken-only)
-                // encoding proved empty — so cancel the siblings and let
-                // the group escalate now instead of waiting out their
-                // UNSAT proofs. An unchecked verdict has no such
-                // authority: the sibling races continue. A sibling that
-                // already synthesized a candidate still certifies and
-                // wins: cancellation is cooperative, and a concrete
-                // certified artifact outranks any verdict.
-                if matches!(res, Err(StepError::Infeasible { certified: true }))
-                    && plan.steps[group.steps[pos]].strategy.is_complete()
-                {
-                    for (i, f) in flags.iter().enumerate() {
-                        if i != pos {
-                            f.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-                return None;
-            };
-            let step = &plan.steps[group.steps[pos]];
-            match certify(step, value) {
-                Ok(()) => {
-                    let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
-                    if w.is_none() {
-                        // Move the value out; the placeholder error is
-                        // never classified because the winner returns
-                        // before classification runs.
-                        if let Ok(v) = std::mem::replace(res, Err(StepError::Cancelled)) {
-                            *w = Some((step.index, v));
-                        }
-                        drop(w);
-                        for (i, f) in flags.iter().enumerate() {
-                            if i != pos {
-                                f.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    // A later certified success that lost the race is
-                    // still a success for attribution purposes.
-                    Some(StepOutcome::Success)
-                }
-                Err(why) => {
-                    let mut u = uncertified.lock().unwrap_or_else(|e| e.into_inner());
-                    if u.is_none() {
-                        *u = Some(why);
-                    }
-                    *res = Err(StepError::Timeout);
-                    Some(StepOutcome::Uncertified)
-                }
-            }
-        });
-    results.sort_by_key(|(pos, _)| *pos);
-    if let Some((index, value)) = winner.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Ok(GroupVerdict::Won(ExecSuccess { step: index, value }));
+impl<T> Tally<T> {
+    fn new() -> Self {
+        Tally {
+            winner: None,
+            invalid: None,
+            uncertified: None,
+            certified_infeasible: false,
+            unchecked_infeasible: false,
+            saw_timeout: false,
+            panicked: None,
+        }
     }
-    let externally_cancelled = ctl
-        .cancel
-        .as_ref()
-        .is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut invalid: Option<String> = None;
-    let mut complete_infeasible = false;
-    let mut unproven_infeasible = false;
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
-    for (pos, res) in results {
-        let step = &plan.steps[group.steps[pos]];
-        match res {
-            Ok(Ok(_)) => {}
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                if invalid.is_none() {
-                    invalid = Some(m);
+
+    /// Is the depth decided? A certified win or a *proof-checked*
+    /// infeasibility from a complete strategy settles it: no sibling can
+    /// win a space the unrestricted (or symmetry-broken-only) encoding
+    /// proved empty. An unchecked verdict has no such authority — a
+    /// sibling may yet synthesize a config and disprove it.
+    fn settled(&self) -> bool {
+        self.winner.is_some() || self.certified_infeasible
+    }
+
+    /// Fold in one finished step and return the outcome to report for it.
+    /// `flagged`: the step's cancel flag was already up when it finished,
+    /// so its `Timeout` is a cancellation artifact, not budget exhaustion.
+    fn record(&mut self, step: &PlanStep, finished: Finished<T>, flagged: bool) -> StepOutcome {
+        match finished {
+            Finished::Won(value) => {
+                if self.winner.is_none() {
+                    self.winner = Some(ExecSuccess {
+                        step: step.index,
+                        value,
+                    });
                 }
+                // A later certified success that lost the race is still a
+                // success for attribution purposes.
+                StepOutcome::Success
             }
-            Ok(Err(StepError::Infeasible { certified })) => {
+            Finished::Uncertified(why) => {
+                keep_first(&mut self.uncertified, step.index, why);
+                StepOutcome::Uncertified
+            }
+            Finished::Panicked(msg) => {
+                let msg = format!("search thread for depth {} panicked: {msg}", step.stages);
+                keep_first(&mut self.panicked, step.index, msg);
+                StepOutcome::Panicked
+            }
+            Finished::Failed(StepError::Infeasible { certified }) => {
+                // An incomplete strategy's verdict proves nothing about the
+                // grid; it is inconclusive, like an exhausted budget.
                 if step.strategy.is_complete() {
                     if certified {
-                        complete_infeasible = true;
+                        self.certified_infeasible = true;
                     } else {
-                        unproven_infeasible = true;
+                        self.unchecked_infeasible = true;
                     }
                 }
+                StepOutcome::Infeasible
             }
-            Ok(Err(StepError::Timeout)) => {
-                if !flags[pos].load(Ordering::Relaxed) {
-                    saw_timeout = true;
-                }
+            Finished::Failed(StepError::Timeout) if flagged => StepOutcome::Cancelled,
+            Finished::Failed(StepError::Timeout) => {
+                self.saw_timeout = true;
+                StepOutcome::Timeout
             }
-            Ok(Err(StepError::Cancelled)) => {}
-            Err(msg) => {
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
+            Finished::Failed(StepError::Cancelled) => StepOutcome::Cancelled,
+            Finished::Failed(StepError::InvalidOptions(m)) => {
+                keep_first(&mut self.invalid, step.index, m);
+                StepOutcome::InvalidOptions
             }
         }
     }
-    if let Some(m) = invalid {
-        return Err(ExecError::InvalidOptions(m));
-    }
-    if externally_cancelled {
-        return Err(ExecError::Cancelled);
-    }
-    if let Some(why) = uncertified.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        // Candidates synthesized but none certified: surface the defect
-        // instead of silently escalating to a deeper grid.
-        return Err(ExecError::Uncertified(why));
-    }
-    if complete_infeasible {
-        // A complete strategy *proved* the depth infeasible; racing losers
-        // that timed out do not weaken that checked verdict.
-        Ok(GroupVerdict::Infeasible)
-    } else if saw_timeout {
-        Ok(GroupVerdict::Timeout)
-    } else if let Some((stages, msg)) = panicked {
-        Ok(GroupVerdict::Panicked(format!(
-            "search thread for depth {stages} panicked: {msg}"
-        )))
-    } else if unproven_infeasible {
-        // A complete strategy's UNSAT without a checked proof never
-        // cancels siblings or outranks their timeouts (see above), but
-        // once every sibling drained decisively it is the honest
-        // classification — the caller's record is explicitly flagged
-        // unchecked rather than the verdict being erased.
-        Ok(GroupVerdict::Infeasible)
-    } else {
-        // Only incomplete strategies reported Infeasible — inconclusive.
-        Ok(GroupVerdict::Timeout)
+
+    /// Classify the group. After a win, in this order: invalid options,
+    /// external cancel, uncertified, certified infeasibility, timeout,
+    /// panic, unchecked infeasibility.
+    fn verdict(self, externally_cancelled: bool) -> Result<GroupVerdict<T>, ExecError> {
+        if let Some(success) = self.winner {
+            return Ok(GroupVerdict::Won(success));
+        }
+        if let Some((_, m)) = self.invalid {
+            return Err(ExecError::InvalidOptions(m));
+        }
+        if externally_cancelled {
+            return Err(ExecError::Cancelled);
+        }
+        if let Some((_, why)) = self.uncertified {
+            // Candidates synthesized but none certified: surface the defect
+            // instead of silently escalating to a deeper grid.
+            return Err(ExecError::Uncertified(why));
+        }
+        Ok(if self.certified_infeasible {
+            // A complete strategy *proved* the depth infeasible; siblings
+            // that timed out do not weaken that checked verdict.
+            GroupVerdict::Infeasible
+        } else if self.saw_timeout {
+            GroupVerdict::Timeout
+        } else if let Some((_, msg)) = self.panicked {
+            GroupVerdict::Panicked(msg)
+        } else if self.unchecked_infeasible {
+            // A complete strategy's UNSAT without a checked proof never
+            // settles a depth early or outranks a sibling's timeout, but
+            // once every step drained decisively it is the honest
+            // classification — the caller's record is explicitly flagged
+            // unchecked rather than the verdict being erased.
+            GroupVerdict::Infeasible
+        } else {
+            // Only incomplete strategies reported Infeasible — inconclusive.
+            GroupVerdict::Timeout
+        })
     }
 }
 
-/// [`run_strategy_race`] for a machine with no spare parallelism: the
-/// same steps run one at a time, in plan order (the planner puts the
-/// cheapest, most-restricted strategy first), and the group stops early
-/// on exactly the events that cancel siblings in the concurrent race —
-/// a certified win or an authoritative (complete-strategy) infeasibility
-/// verdict. Steps skipped by an early stop are reported `Cancelled`, so
-/// per-strategy attribution and the serve daemon's `portfolio_cancelled`
-/// accounting are mode-independent.
-fn run_strategy_sequential<T, R, C>(
+/// Run the steps of `group` one at a time on the calling thread, in plan
+/// order. For a strategy group this is the race on a machine with no
+/// spare parallelism: the planner puts the cheapest, most-restricted
+/// strategy first, and the group stops early on exactly the events that
+/// cancel siblings in the concurrent race. Steps skipped by an early stop
+/// are reported `Cancelled`, so per-strategy attribution and the serve
+/// daemon's `portfolio_cancelled` accounting are mode-independent.
+fn run_in_order<T, R, C>(
     plan: &CompilePlan,
     group: &PlanGroup,
     runner: &R,
     certify: &C,
     ctl: &ExecControl<'_>,
+    isolate: bool,
 ) -> Result<GroupVerdict<T>, ExecError>
 where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
+    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError>,
+    C: Fn(&PlanStep, &T) -> Result<(), String>,
 {
-    let mut winner: Option<ExecSuccess<T>> = None;
-    let mut uncertified: Option<String> = None;
-    let mut invalid: Option<String> = None;
-    let mut complete_infeasible = false;
-    let mut unproven_infeasible = false;
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
+    let mut tally = Tally::new();
     for &si in &group.steps {
         let step = &plan.steps[si];
         if si < ctl.resume_from {
             continue;
         }
-        if winner.is_some() || complete_infeasible {
-            // The group is settled; the remaining strategies never run —
-            // the sequential analogue of a cancelled racing loser. Only a
-            // *proof-checked* infeasibility settles like this: an
-            // unchecked verdict has no authority to skip siblings, who
-            // may yet synthesize a config and disprove the claim.
-            observe(ctl, step, StepOutcome::Cancelled, Instant::now());
+        if tally.settled() {
+            ctl.observe(step, StepOutcome::Cancelled, Instant::now());
             continue;
         }
-        if ctl
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
-            return Err(ExecError::Cancelled);
-        }
-        if ctl.deadline.is_some_and(|d| Instant::now() >= d) {
-            observe(ctl, step, StepOutcome::Timeout, Instant::now());
-            saw_timeout = true;
-            continue;
+        if ctl.cancelled() {
+            break;
         }
         let started = Instant::now();
-        let res = catch_unwind(AssertUnwindSafe(|| runner(step, ctl.cancel.clone())))
-            .map_err(|payload| panic_text(payload.as_ref()));
-        match res {
-            Ok(Ok(value)) => match certify(step, &value) {
-                Ok(()) => {
-                    observe(ctl, step, StepOutcome::Success, started);
-                    winner = Some(ExecSuccess {
-                        step: step.index,
-                        value,
-                    });
-                }
-                Err(why) => {
-                    // An uncertified candidate drops out and the next
-                    // strategy gets its chance, as in the concurrent race.
-                    observe(ctl, step, StepOutcome::Uncertified, started);
-                    if uncertified.is_none() {
-                        uncertified = Some(why);
-                    }
-                }
-            },
-            Ok(Err(StepError::Infeasible { certified })) => {
-                observe(ctl, step, StepOutcome::Infeasible, started);
-                if step.strategy.is_complete() {
-                    if certified {
-                        complete_infeasible = true;
-                    } else {
-                        unproven_infeasible = true;
-                    }
-                }
-            }
-            Ok(Err(StepError::Timeout)) => {
-                observe(ctl, step, StepOutcome::Timeout, started);
-                saw_timeout = true;
-            }
-            Ok(Err(StepError::Cancelled)) => {
-                observe(ctl, step, StepOutcome::Cancelled, started);
-                return Err(ExecError::Cancelled);
-            }
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                observe(ctl, step, StepOutcome::InvalidOptions, started);
-                if invalid.is_none() {
-                    invalid = Some(m);
-                }
-            }
-            Err(msg) => {
-                observe(ctl, step, StepOutcome::Panicked, started);
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
-            }
-        }
+        let finished = if ctl.deadline.is_some_and(|d| started >= d) {
+            Finished::Failed(StepError::Timeout)
+        } else {
+            attempt(step, runner, certify, ctl.cancel.clone(), isolate)
+        };
+        let outcome = tally.record(step, finished, false);
+        ctl.observe(step, outcome, started);
     }
-    if let Some(success) = winner {
-        return Ok(GroupVerdict::Won(success));
-    }
-    if let Some(m) = invalid {
-        return Err(ExecError::InvalidOptions(m));
-    }
-    if let Some(why) = uncertified {
-        // Candidates synthesized but none certified: surface the defect
-        // instead of silently escalating to a deeper grid.
-        return Err(ExecError::Uncertified(why));
-    }
-    if complete_infeasible {
-        Ok(GroupVerdict::Infeasible)
-    } else if saw_timeout {
-        Ok(GroupVerdict::Timeout)
-    } else if let Some((stages, msg)) = panicked {
-        Ok(GroupVerdict::Panicked(format!(
-            "search thread for depth {stages} panicked: {msg}"
-        )))
-    } else if unproven_infeasible {
-        // Every strategy ran to a decisive end and a complete one said
-        // UNSAT, just without a checked proof: classify infeasible with
-        // the record explicitly flagged, exactly as the concurrent race
-        // does.
-        Ok(GroupVerdict::Infeasible)
-    } else {
-        // Only incomplete strategies reported Infeasible — inconclusive.
-        Ok(GroupVerdict::Timeout)
-    }
+    tally.verdict(ctl.cancelled())
 }
 
-/// One raced step's result: its position in the group, and either the
-/// runner's verdict or (outer `Err`) a panic message from its thread.
-type RaceResult<T> = (usize, Result<Result<T, StepError>, String>);
-
-/// Shared racing scaffold: one scoped thread per step with panic
-/// isolation, an external-cancel monitor fanning out to per-step flags,
-/// per-step observer reports, and a `coordinate` hook invoked (under no
-/// lock) right after each step completes so the race mode can implement
-/// its cancellation policy. `coordinate` may rewrite the step's result
-/// and return an outcome override for the observer report.
-fn scope_race<'p, T, R>(
-    plan: &'p CompilePlan,
-    group: &'p PlanGroup,
+/// Race the steps of `group` (same depth, distinct strategies), one scoped
+/// thread each with panic isolation. A monitor fans an external cancel
+/// out to every step's flag; a step that settles the group (see
+/// [`Tally::settled`]) raises every flag itself.
+fn run_race<T, R, C>(
+    plan: &CompilePlan,
+    group: &PlanGroup,
     runner: &R,
+    certify: &C,
     ctl: &ExecControl<'_>,
-    flags: &[Arc<AtomicBool>],
-    coordinate: impl Fn(usize, &mut Result<T, StepError>, &[Arc<AtomicBool>]) -> Option<StepOutcome>
-        + Sync,
-) -> Vec<RaceResult<T>>
+) -> Result<GroupVerdict<T>, ExecError>
 where
     T: Send,
     R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
+    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
-    let done = Arc::new(AtomicBool::new(false));
-    let out = std::thread::scope(|scope| {
-        if let Some(external) = ctl.cancel.clone() {
-            let flags = flags.to_vec();
-            let done = done.clone();
-            scope.spawn(move || {
+    let flags: Vec<Arc<AtomicBool>> = group
+        .steps
+        .iter()
+        .map(|_| Arc::new(AtomicBool::new(false)))
+        .collect();
+    let raise_all = || flags.iter().for_each(|f| f.store(true, Ordering::Relaxed));
+    let tally = Mutex::new(Tally::new());
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        if ctl.cancel.is_some() {
+            scope.spawn(|| {
                 while !done.load(Ordering::Relaxed) {
-                    if external.load(Ordering::Relaxed) {
-                        for f in &flags {
-                            f.store(true, Ordering::Relaxed);
-                        }
+                    if ctl.cancelled() {
+                        raise_all();
                         return;
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
             });
         }
-        let coordinate = &coordinate;
-        let handles: Vec<_> = group
+        let racers: Vec<_> = group
             .steps
             .iter()
-            .enumerate()
-            .map(|(pos, &si)| {
-                let step = &plan.steps[si];
-                let my_flag = flags[pos].clone();
-                let ctl_observer = ctl.observer;
+            .zip(&flags)
+            .map(|(&si, flag)| {
+                let (step, tally, raise_all) = (&plan.steps[si], &tally, &raise_all);
                 scope.spawn(move || {
                     let started = Instant::now();
-                    let mut res = catch_unwind(AssertUnwindSafe(|| runner(step, Some(my_flag))))
-                        .map_err(|payload| panic_text(payload.as_ref()));
-                    let outcome = match &mut res {
-                        Ok(inner) => coordinate(pos, inner, flags).unwrap_or(match inner {
-                            Ok(_) => StepOutcome::Success,
-                            Err(StepError::Infeasible { .. }) => StepOutcome::Infeasible,
-                            Err(StepError::Timeout) => {
-                                if flags[pos].load(Ordering::Relaxed) {
-                                    StepOutcome::Cancelled
-                                } else {
-                                    StepOutcome::Timeout
-                                }
-                            }
-                            Err(StepError::Cancelled) => StepOutcome::Cancelled,
-                            Err(StepError::InvalidOptions(_)) => StepOutcome::InvalidOptions,
-                        }),
-                        Err(_) => StepOutcome::Panicked,
-                    };
-                    chipmunk_trace::event!(
-                        "plan.step",
-                        step = step.index as u64,
-                        stages = step.stages as u64,
-                        strategy = step.strategy.name(),
-                        outcome = outcome.name(),
-                    );
-                    if let Some(obs) = ctl_observer {
-                        obs(&StepReport {
-                            step: step.index,
-                            stages: step.stages,
-                            strategy: step.strategy,
-                            outcome,
-                            elapsed: started.elapsed(),
-                        });
+                    let finished = attempt(step, runner, certify, Some(flag.clone()), true);
+                    let mut t = tally.lock().unwrap_or_else(|e| e.into_inner());
+                    let outcome = t.record(step, finished, flag.load(Ordering::Relaxed));
+                    let settled = t.settled();
+                    drop(t);
+                    if settled {
+                        raise_all();
                     }
-                    (pos, res)
+                    ctl.observe(step, outcome, started);
                 })
             })
             .collect();
-        let out: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("step threads isolate panics"))
-            .collect();
+        let joined: Vec<_> = racers.into_iter().map(|r| r.join()).collect();
         done.store(true, Ordering::Relaxed);
-        out
+        if let Some(payload) = joined.into_iter().find_map(Result::err) {
+            std::panic::resume_unwind(payload);
+        }
     });
-    out
+    tally
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner())
+        .verdict(ctl.cancelled())
 }
 
 /// Short, bounded rendering of a `catch_unwind` payload.
@@ -1210,7 +914,6 @@ mod tests {
         PlanInputs {
             max_stages,
             slots: 3,
-            parallel: false,
             portfolio: false,
             budget: ResourceBudget::UNLIMITED,
             canonical_fields: true,
@@ -1247,21 +950,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plan_is_one_depth_race() {
-        let p = plan(&PlanInputs {
-            parallel: true,
-            ..inputs(3)
-        });
-        assert_eq!(p.groups.len(), 1);
-        assert_eq!(p.groups[0].mode, RaceMode::Depths);
-        assert_eq!(p.groups[0].steps.len(), 3);
-    }
-
-    #[test]
     fn portfolio_plan_races_strategies_per_depth() {
         let p = plan(&PlanInputs {
             portfolio: true,
-            parallel: true, // portfolio takes precedence
             ..inputs(2)
         });
         assert_eq!(p.groups.len(), 2);
@@ -1315,23 +1006,6 @@ mod tests {
         let p = plan(&inputs(4));
         let won = execute(&p, ok_at(3), certify_all, ExecControl::default()).expect("wins");
         assert_eq!(p.steps[won.step].stages, 3);
-    }
-
-    #[test]
-    fn depth_race_prefers_shallowest_success() {
-        let p = plan(&PlanInputs {
-            parallel: true,
-            ..inputs(4)
-        });
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
-            if step.stages >= 2 {
-                Ok(step.index)
-            } else {
-                Err(StepError::Infeasible { certified: true })
-            }
-        };
-        let won = execute(&p, runner, certify_all, ExecControl::default()).expect("wins");
-        assert_eq!(p.steps[won.step].stages, 2);
     }
 
     #[test]
@@ -1617,10 +1291,6 @@ mod tests {
         let plans = [
             plan(&inputs(2)),
             plan(&PlanInputs {
-                parallel: true,
-                ..inputs(2)
-            }),
-            plan(&PlanInputs {
                 portfolio: true,
                 ..inputs(2)
             }),
@@ -1783,40 +1453,56 @@ mod tests {
 
     #[test]
     fn panicked_racing_step_is_reported_not_masked() {
+        // At depth 2 canonical panics, the incomplete strategy proves
+        // nothing and full-ALU's UNSAT is unchecked, so nothing decides the
+        // depth: the panic must surface, not an Infeasible verdict.
         let p = plan(&PlanInputs {
-            parallel: true,
+            portfolio: true,
             ..inputs(3)
         });
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
-            if step.stages == 2 {
-                panic!("injected depth-2 panic");
+            match (step.stages, step.strategy) {
+                (2, Strategy::CanonicalAllocation) => panic!("injected depth-2 panic"),
+                (2, Strategy::FullAlu) => Err(StepError::Infeasible { certified: false }),
+                _ => Err(StepError::Infeasible { certified: true }),
             }
-            Err(StepError::Infeasible { certified: true })
         };
-        let err = execute(&p, runner, certify_all, ExecControl::default()).unwrap_err();
-        match err {
-            ExecError::Internal(msg) => {
-                assert!(msg.contains("depth 2"), "{msg}");
-                assert!(msg.contains("injected depth-2 panic"), "{msg}");
+        for race_threads in [Some(3), Some(1)] {
+            let ctl = ExecControl {
+                race_threads,
+                ..ExecControl::default()
+            };
+            match execute(&p, runner, certify_all, ctl).unwrap_err() {
+                ExecError::Internal(msg) => {
+                    assert!(msg.contains("depth 2"), "{msg}");
+                    assert!(msg.contains("injected depth-2 panic"), "{msg}");
+                }
+                other => panic!("race_threads {race_threads:?}: expected Internal, got {other:?}"),
             }
-            other => panic!("expected Internal, got {other:?}"),
         }
     }
 
     #[test]
-    fn panic_does_not_mask_timeout_in_depth_race() {
+    fn panic_does_not_mask_a_sibling_timeout() {
         let p = plan(&PlanInputs {
-            parallel: true,
+            portfolio: true,
             ..inputs(2)
         });
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
-            if step.stages == 1 {
-                panic!("injected depth-1 panic");
+            match (step.stages, step.strategy) {
+                (1, Strategy::CanonicalAllocation) => panic!("injected depth-1 panic"),
+                (1, _) => Err(StepError::Timeout),
+                _ => Err(StepError::Infeasible { certified: true }),
             }
-            Err(StepError::Timeout)
         };
-        let err = execute(&p, runner, certify_all, ExecControl::default()).unwrap_err();
-        assert_eq!(err, ExecError::Timeout);
+        for race_threads in [Some(3), Some(1)] {
+            let ctl = ExecControl {
+                race_threads,
+                ..ExecControl::default()
+            };
+            let err = execute(&p, runner, certify_all, ctl).unwrap_err();
+            assert_eq!(err, ExecError::Timeout, "race_threads {race_threads:?}");
+        }
     }
 
     #[test]

@@ -479,9 +479,9 @@ impl Solver {
 
     /// Install a cooperative cancellation flag, polled at the same points
     /// as the deadline. When another thread sets it, `solve` returns
-    /// [`SolveResult::Unknown`] — the mechanism behind the parallel
-    /// grid-depth sweep, where a success at a shallow depth cancels the
-    /// deeper searches.
+    /// [`SolveResult::Unknown`] — the mechanism behind the portfolio
+    /// race, where a certified win cancels the sibling strategies, and
+    /// behind external aborts.
     pub fn set_cancel_flag(&mut self, cancel: Option<Arc<AtomicBool>>) {
         self.cancel = cancel;
     }

@@ -390,6 +390,7 @@ mod tests {
 
     #[test]
     fn disk_cache_survives_reopen() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("reopen");
         let doc = Json::obj([("stages", Json::from(3u64))]);
         {
@@ -404,6 +405,7 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_skipped_on_load() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -425,6 +427,7 @@ mod tests {
     /// line) must not abort `open` — keep what parsed, stay appendable.
     #[test]
     fn unreadable_line_stops_the_load_but_not_the_cache() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("unreadable");
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = b"{\"key\":\"aa\",\"result\":{\"v\":1}}\n".to_vec();
@@ -447,6 +450,7 @@ mod tests {
 
     #[test]
     fn duplicate_puts_write_one_disk_line() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("dedup");
         let doc = Json::obj([("v", Json::from(1u64))]);
         {
@@ -465,6 +469,7 @@ mod tests {
     /// First write wins in *both* tiers.
     #[test]
     fn duplicate_put_leaves_both_tiers_agreeing() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("fww");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -481,6 +486,7 @@ mod tests {
     /// tiers agree on it after a reopen.
     #[test]
     fn racing_duplicate_puts_keep_tiers_consistent() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("race");
         let winner = {
             let c = std::sync::Arc::new(ResultCache::open(Some(&dir)).unwrap());
@@ -517,6 +523,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_evicted_entries_from_disk() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("compact");
         {
             let c = ResultCache::open_bounded(Some(&dir), Some(2)).unwrap();
@@ -546,6 +553,7 @@ mod tests {
 
     #[test]
     fn startup_compaction_shrinks_an_over_bound_file() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("startbound");
         std::fs::create_dir_all(&dir).unwrap();
         let mut text = String::new();
@@ -570,6 +578,7 @@ mod tests {
 
     #[test]
     fn clear_empties_both_tiers() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("clear");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -586,6 +595,7 @@ mod tests {
 
     #[test]
     fn remove_quarantines_from_both_tiers() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("quarantine");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -618,6 +628,7 @@ mod tests {
 
     #[test]
     fn auto_compaction_bounds_the_disk_tier() {
+        let _faults = crate::faults::test_lock();
         let dir = tmpdir("autocompact");
         let c = ResultCache::open_bounded(Some(&dir), Some(4)).unwrap();
         for i in 0..200u64 {

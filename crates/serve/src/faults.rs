@@ -409,24 +409,23 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Fault state is process-global: unit tests that install a plan, or that
+/// reach an injection site such as the cache's `cache_io` hook, hold this
+/// lock, so one test's armed plan never consumes another's draws.
+/// Integration tests use their own copy per binary.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Fault state is process-global; tests that install plans must hold
-    /// this lock. Integration tests use their own copy per binary.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     #[test]
     fn disarmed_fires_nothing() {
-        let _g = lock();
+        let _g = test_lock();
         disarm();
         assert!(!armed());
         assert!(!fired(FaultKind::CompilePanic));
@@ -435,7 +434,7 @@ mod tests {
 
     #[test]
     fn explicit_indices_fire_exactly_once_each() {
-        let _g = lock();
+        let _g = test_lock();
         install("panic@0,2").unwrap();
         assert!(fired(FaultKind::CompilePanic)); // occurrence 0
         assert!(!fired(FaultKind::CompilePanic)); // 1
@@ -448,7 +447,7 @@ mod tests {
 
     #[test]
     fn probability_schedule_is_reproducible_from_seed() {
-        let _g = lock();
+        let _g = test_lock();
         let run = || {
             install("seed=99;cache_io%0.5").unwrap();
             let v: Vec<bool> = (0..32).map(|_| fired(FaultKind::CacheIo)).collect();
@@ -464,7 +463,7 @@ mod tests {
 
     #[test]
     fn stall_duration_comes_from_plan() {
-        let _g = lock();
+        let _g = test_lock();
         install("stall@0;stall_ms=7").unwrap();
         assert_eq!(stall_duration(), Duration::from_millis(7));
         disarm();
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn corrupt_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("corrupt@0").unwrap();
         assert!(fired(FaultKind::CacheCorrupt));
         assert!(!fired(FaultKind::CacheCorrupt));
@@ -481,7 +480,7 @@ mod tests {
 
     #[test]
     fn metrics_io_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("metrics_io@0").unwrap();
         assert!(fired(FaultKind::MetricsIo));
         assert!(!fired(FaultKind::MetricsIo));
@@ -492,7 +491,7 @@ mod tests {
 
     #[test]
     fn proof_io_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("proof_io@0").unwrap();
         assert!(fired(FaultKind::ProofIo));
         assert!(!fired(FaultKind::ProofIo));
@@ -503,7 +502,7 @@ mod tests {
 
     #[test]
     fn clock_stall_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("clock_stall@0;stall_ms=5").unwrap();
         assert!(fired(FaultKind::ClockStall));
         assert!(!fired(FaultKind::ClockStall));
@@ -539,7 +538,7 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        let _g = lock();
+        let _g = test_lock();
         for bad in [
             "frobnicate@1",
             "panic@x",

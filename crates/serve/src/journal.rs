@@ -83,6 +83,19 @@ pub struct PendingJob {
     pub resume_from: usize,
 }
 
+impl PendingJob {
+    /// Where the replay starts: [`PendingJob::resume_from`] when the
+    /// replaying daemon derives the same plan fingerprint the previous one
+    /// journaled, else step 0 — a planner (or options) change restarts
+    /// the plan.
+    pub fn resume_offset(&self, derived_plan: Option<&str>) -> usize {
+        match (derived_plan, self.plan.as_deref()) {
+            (Some(derived), Some(journaled)) if derived == journaled => self.resume_from,
+            _ => 0,
+        }
+    }
+}
+
 /// Journaled per-plan progress of one pending job.
 #[derive(Default)]
 struct StepProgress {
@@ -568,7 +581,7 @@ mod tests {
             width: Some(8),
             max_stages: Some(2),
             timeout_ms: Some(5000),
-            parallel: Some(true),
+            portfolio: Some(true),
             budget_conflicts: Some(1000),
             budget_propagations: Some(2000),
             budget_bytes: Some(1 << 20),
@@ -585,7 +598,7 @@ mod tests {
         assert_eq!(got.width, opts.width);
         assert_eq!(got.max_stages, opts.max_stages);
         assert_eq!(got.timeout_ms, opts.timeout_ms);
-        assert_eq!(got.parallel, opts.parallel);
+        assert_eq!(got.portfolio, opts.portfolio);
         assert_eq!(got.budget_conflicts, opts.budget_conflicts);
         assert_eq!(got.budget_propagations, opts.budget_propagations);
         assert_eq!(got.budget_bytes, opts.budget_bytes);
@@ -679,6 +692,37 @@ mod tests {
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay[0].resume_from, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An older daemon journaled this job with `"parallel":true`, under
+    /// the fingerprint of its depth-race plan (both depths in one racing
+    /// group, for this program and these options). The removed option is ignored
+    /// and the job still replays; today's planner derives the solo
+    /// escalation plan instead, so the fingerprint check restarts it at
+    /// step 0 rather than trusting the old plan's progress.
+    #[test]
+    fn a_depth_race_record_from_an_older_daemon_replays_from_step_zero() {
+        let dir = tmpdir("depthrace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let race_fp = "cefe5a762016af3f";
+        let accepted = r#"{"rec":"accepted","key":"k","program":"pkt.a = pkt.b;","options":{"imm":4,"width":6,"max_stages":2,"timeout_ms":300000,"template":"if_else_raw","parallel":true,"portfolio":false},"plan":"cefe5a762016af3f"}"#;
+        let step = r#"{"rec":"step","key":"k","plan":"cefe5a762016af3f","step":0}"#;
+        std::fs::write(dir.join("journal.jsonl"), format!("{accepted}\n{step}\n")).unwrap();
+        let (_, replay) = Journal::open(&dir).unwrap();
+        assert_eq!(replay.len(), 1);
+        let job = &replay[0];
+        assert_eq!(job.plan.as_deref(), Some(race_fp));
+        assert_eq!(job.resume_from, 1, "progress matches the journaled plan");
+        let opts = job.options.to_compiler_options().unwrap();
+        assert!(!opts.parallel);
+        let prog = chipmunk_lang::parse(&job.program).unwrap();
+        let derived = chipmunk::plan_compilation(&prog, &opts)
+            .unwrap()
+            .fingerprint();
+        assert_ne!(derived, race_fp);
+        assert_eq!(job.resume_offset(Some(&derived)), 0);
+        assert_eq!(job.resume_offset(Some(race_fp)), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,10 +22,14 @@
 //!              "num_initial_inputs":<int>?,"max_iters":<int>?,"seed":<int>?,
 //!              "max_stages":<int>?,"slots":<int>?,"timeout_ms":<int>?,
 //!              "deadline_ms":<int>?,
-//!              "parallel":<bool>?,"portfolio":<bool>?,
+//!              "portfolio":<bool>?,
 //!              "budget_conflicts":<int>?,
 //!              "budget_propagations":<int>?,"budget_bytes":<int>?}
 //! ```
+//!
+//! Unknown `options` keys are ignored. That includes `parallel`, which
+//! older clients send: it selected the removed depth race, and every
+//! compile now escalates one depth at a time.
 //!
 //! **Priorities.** A compile may carry a `priority` (0–9, default 0):
 //! the job queue pops the highest level first, FIFO within a level. The
@@ -251,10 +255,8 @@ pub struct JobOptions {
     /// measured from admission. Server-defaulted when absent; excluded
     /// from the cache key. See the module doc's **Deadlines** section.
     pub deadline_ms: Option<u64>,
-    /// Run the grid-depth sweep on parallel threads.
-    pub parallel: Option<bool>,
     /// Race hole-restriction strategies per depth; the first certified
-    /// win cancels the rest. Takes precedence over `parallel`.
+    /// win cancels the rest.
     pub portfolio: Option<bool>,
     /// Hard ceiling on SAT conflicts per solver run.
     pub budget_conflicts: Option<u64>,
@@ -292,10 +294,6 @@ impl JobOptions {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_str().ok_or("`template` must be a string")?.to_string()),
         };
-        let parallel = match obj.get("parallel") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_bool().ok_or("`parallel` must be a bool")?),
-        };
         let portfolio = match obj.get("portfolio") {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_bool().ok_or("`portfolio` must be a bool")?),
@@ -313,7 +311,6 @@ impl JobOptions {
             slots: get_num(obj, "slots")?,
             timeout_ms: get_num(obj, "timeout_ms")?,
             deadline_ms: get_num(obj, "deadline_ms")?,
-            parallel,
             portfolio,
             budget_conflicts: get_num(obj, "budget_conflicts")?,
             budget_propagations: get_num(obj, "budget_propagations")?,
@@ -350,9 +347,6 @@ impl JobOptions {
         num("budget_bytes", self.budget_bytes);
         if let Some(t) = &self.template {
             pairs.push(("template".to_string(), Json::from(t.as_str())));
-        }
-        if let Some(p) = self.parallel {
-            pairs.push(("parallel".to_string(), Json::Bool(p)));
         }
         if let Some(p) = self.portfolio {
             pairs.push(("portfolio".to_string(), Json::Bool(p)));
@@ -402,7 +396,6 @@ impl JobOptions {
         if let Some(t) = self.timeout_ms {
             opts.timeout = Some(std::time::Duration::from_millis(t));
         }
-        opts.parallel = self.parallel.unwrap_or(false);
         opts.portfolio = self.portfolio.unwrap_or(false);
         Ok(opts)
     }
@@ -841,7 +834,9 @@ mod tests {
                 assert_eq!(co.cegis.verify_width, 6);
                 assert_eq!(co.max_stages, 2);
                 assert_eq!(co.timeout, Some(std::time::Duration::from_secs(5)));
-                assert!(co.parallel);
+                // The removed depth race's key is ignored like any
+                // other unknown option key.
+                assert!(!co.parallel);
             }
             other => panic!("wrong request: {other:?}"),
         }

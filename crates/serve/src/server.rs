@@ -710,10 +710,7 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         let plan_fp = plan_compilation(&program, &opts)
             .ok()
             .map(|p| p.fingerprint());
-        let resume_from = match (&plan_fp, &pending.plan) {
-            (Some(derived), Some(journaled)) if derived == journaled => pending.resume_from,
-            _ => 0,
-        };
+        let resume_from = pending.resume_offset(plan_fp.as_deref());
         if resume_from > 0 {
             chipmunk_trace::event!(
                 "serve.journal.resume",

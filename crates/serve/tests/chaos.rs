@@ -454,6 +454,18 @@ fn chaos_load_conserves_jobs_and_server_survives() {
         assert!(Instant::now() < deadline, "pool never recovered: {status}");
         std::thread::sleep(Duration::from_millis(20));
     }
+    // A job orphaned by an injected reset can still be queued or in a
+    // worker after every client has its answers; conservation only holds
+    // once it has finished.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = control.status().unwrap();
+        if u64_field(&status, "queue_depth") == 0 && u64_field(&status, "in_flight") == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "jobs never drained: {status}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     let stats = control.stats().unwrap();
     assert_conservation(&stats);
